@@ -52,14 +52,8 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("check", choices=["purity", "eq31", "eq32", "transport", "a-expansion"])
-    p.add_argument("--family", choices=["surface", "homotopy", "goldsmith", "pure",
-                                        "symmetric", "quotient"], default=None)
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("-g", type=int, default=None)
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--closed", dest="closed", action="store_true", default=None)
-    grp.add_argument("--punctured", dest="closed", action="store_false")
-    p.add_argument("--lh-bound", type=int, default=None)
+    add_family_flags(p, ["surface", "homotopy", "goldsmith", "pure", "symmetric", "quotient"],
+                     required=False)
     p.add_argument("--input", default=None, help="verify a serialized presentation (JSON)")
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one site on purpose; the suite must fail")

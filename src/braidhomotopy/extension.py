@@ -27,14 +27,18 @@ from braidhomotopy.words import (
     Gen,
     Word,
     band,
+    code,
     concat,
     concat_all,
     format_word,
     gen_word,
     invert,
     loop,
+    parse_gen,
     parse_word,
     sigma,
+    substitute,
+    symbol,
 )
 
 
@@ -91,19 +95,18 @@ def sigma_conj_loop(k: int, i: int, r: int, n: int, g: int,
     return gen_word(loop(i, r), n, g)
 
 
+def _sigma_conj_gen(k: int, gen: Gen, n: int, g: int, wrong_parity: bool = False) -> Word:
+    if gen.kind == "a":
+        return sigma_conj_loop(k, gen.i, gen.j, n, g, wrong_parity)
+    if gen.kind == "t":
+        return sigma_conj_band(k, gen.i, gen.j, n, g)
+    raise ValueError(f"not a kernel letter: {gen}")
+
+
 def sigma_conj_word(w: Word, k: int, n: int, g: int,
                     wrong_parity: bool = False) -> Word:
     """Conjugate a loop/band word by s_k, letter by letter."""
-    parts = []
-    for gen, e in w.letters:
-        if gen.kind == "a":
-            rep = sigma_conj_loop(k, gen.i, gen.j, n, g, wrong_parity)
-        elif gen.kind == "t":
-            rep = sigma_conj_band(k, gen.i, gen.j, n, g)
-        else:
-            raise ValueError(f"not a kernel letter: {gen}")
-        parts.append(rep if e == 1 else invert(rep))
-    return concat_all(parts) if parts else Word((), (n, g))
+    return substitute(w, lambda gen: _sigma_conj_gen(k, gen, n, g, wrong_parity))
 
 
 # ---------------------------------------------------------------------------
@@ -158,31 +161,19 @@ def assemble_extension(data: ExtensionData) -> Presentation:
     gens = kernel.generators + tuple(data.lifts[y] for y in quotient.generators)
     if len(set(gens)) != len(gens):
         raise IncompleteDataError("lift symbols collide with kernel generators")
-    rels: list[tuple[str, Word]] = []
-    for label, rel in kernel.labeled_relators():
-        rels.append((f"A:{label}", rel))
+    n, g = kernel.n, kernel.g
+    rels = [(f"A:{label}", rel) for label, rel in kernel.iter_relators()]
     for label, rel in zip(quotient.labels, quotient.relators):
-        lifted = concat_all([gen_word(data.lifts[gen], *_ctx(kernel), e=e)
-                             for gen, e in rel.letters]) if rel else Word()
+        lifted = substitute(rel, lambda gen: gen_word(data.lifts[gen], n, g))
         rels.append((f"Q:{label}", concat(lifted, invert(data.rel_words[label]))))
     for y in quotient.generators:
-        ty = gen_word(data.lifts[y], *_ctx(kernel))
+        ty = gen_word(data.lifts[y], n, g)
         for x in kernel.generators:
-            lhs = concat_all([ty, gen_word(x, *_ctx(kernel)), invert(ty)])
+            lhs = concat_all([ty, gen_word(x, n, g), invert(ty)])
             rels.append((f"C[y={data.lifts[y]},x={x}]",
                          concat(lhs, invert(data.conj_words[(y, x)]))))
     return Presentation("extension", kernel.n, kernel.g, kernel.closed, kernel.lh_bound,
                         gens, tuple(w for _, w in rels), tuple(l for l, _ in rels))
-
-
-def _ctx(p: Presentation) -> tuple[int | None, int | None]:
-    for rel in p.relators:
-        if rel.context is not None:
-            return rel.context
-    for gen in p.generators:
-        if gen.kind != "x":
-            return (p.n, p.g)
-    return (None, None)
 
 
 def braid_extension_data(n: int, g: int, closed: bool, lh_bound: int) -> ExtensionData:
@@ -200,27 +191,13 @@ def braid_extension_data(n: int, g: int, closed: bool, lh_bound: int) -> Extensi
             rel_words[label] = Word((), (n, g))
     conj_words: dict[tuple[Gen, Gen], Word] = {}
     for idx, y in enumerate(quotient.generators):
-        k = idx + 1
         for x in kernel.generators:
-            if x.kind == "a":
-                conj_words[(y, x)] = sigma_conj_loop(k, x.i, x.j, n, g)
-            else:
-                conj_words[(y, x)] = sigma_conj_band(k, x.i, x.j, n, g)
+            conj_words[(y, x)] = _sigma_conj_gen(idx + 1, x, n, g)
     return ExtensionData(kernel, quotient, lifts, rel_words, conj_words)
 
 
 # ---------------------------------------------------------------------------
 # Tietze elimination
-
-
-def _substitute_gen(w: Word, gen: Gen, repl: Word) -> Word:
-    parts = []
-    for cur, e in w.letters:
-        if cur == gen:
-            parts.append(repl if e == 1 else invert(repl))
-        else:
-            parts.append(Word(((cur, e),), w.context))
-    return concat_all(parts) if parts else w
 
 
 def tietze_eliminate(p: Presentation, gen: Gen, defining: Word) -> Presentation:
@@ -252,7 +229,7 @@ def tietze_eliminate(p: Presentation, gen: Gen, defining: Word) -> Presentation:
     for i2, (label, rel) in enumerate(zip(p.labels, p.relators)):
         if i2 == pos:
             continue
-        sub = _substitute_gen(rel, gen, repl)
+        sub = substitute(rel, lambda cur: repl if cur == gen else Word(((cur, 1),), rel.context))
         if sub:
             new_rels.append(sub)
             new_labels.append(label)
@@ -339,13 +316,19 @@ class CosetTable:
 
 
 def word_to_columns(w: Word, generators: Sequence[Gen]) -> list[int]:
-    index = {gen: i for i, gen in enumerate(generators)}
-    cols = []
-    for gen, e in w.letters:
-        if gen not in index:
-            raise ValueError(f"word letter {gen} is not a presentation generator")
-        cols.append(2 * index[gen] + (0 if e == 1 else 1))
-    return cols
+    return _word_columns(w, _columns(generators))
+
+
+def _columns(generators: Sequence[Gen]) -> dict[int, int]:
+    """Letter code -> coset-table column: 2k for generator k, 2k + 1 for its inverse."""
+    return {s * code(gen): 2 * k + (s < 0) for k, gen in enumerate(generators) for s in (1, -1)}
+
+
+def _word_columns(w: Word, columns: dict[int, int]) -> list[int]:
+    if not columns.keys() >= set(w.codes):
+        bad = next(c for c in w.codes if c not in columns)
+        raise ValueError(f"word letter {symbol(bad)} is not a presentation generator")
+    return [columns[c] for c in w.codes]
 
 
 class _Overflow(Exception):
@@ -430,8 +413,9 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     gens = p.generators
-    relators = [word_to_columns(w, gens) for w in p.all_relators()]
-    subgroup_cols = [word_to_columns(w, gens) for w in subgroup]
+    columns = _columns(gens)
+    relators = [_word_columns(w, columns) for _, w in p.iter_relators()]
+    subgroup_cols = [_word_columns(w, columns) for w in subgroup]
     enum = _Enumerator(2 * len(gens), max_cosets)
     status = "closed"
     try:
@@ -484,18 +468,10 @@ def extension_data_from_json(text: str) -> ExtensionData:
     kernel = presentation_from_json(json.dumps(doc["kernel"]))
     quotient = presentation_from_json(json.dumps(doc["quotient"]))
     n, g = kernel.n, kernel.g
-    gen_by_name = {str(gen): gen for gen in kernel.generators + quotient.generators}
-
-    def _gen(tok: str) -> Gen:
-        if tok in gen_by_name:
-            return gen_by_name[tok]
-        w = parse_word(tok, n, g)
-        return w.letters[0][0]
-
-    lifts = {_gen(y): _gen(t) for y, t in doc["lifts"].items()}
+    lifts = {parse_gen(y): parse_gen(t) for y, t in doc["lifts"].items()}
     rel_words = {label: parse_word(body, n, g) for label, body in doc["rel_words"].items()}
     conj_words = {}
     for y, table in doc["conj_words"].items():
         for x, body in table.items():
-            conj_words[(_gen(y), _gen(x))] = parse_word(body, n, g)
+            conj_words[(parse_gen(y), parse_gen(x))] = parse_word(body, n, g)
     return ExtensionData(kernel, quotient, lifts, rel_words, conj_words)

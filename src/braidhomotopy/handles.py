@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 
 from braidhomotopy.perms import UnsupportedLetterError
-from braidhomotopy.words import Word, concat, invert
+from braidhomotopy.words import Word, concat, invert, sigma, symbol
 
 
 class StepLimitError(RuntimeError):
@@ -33,10 +33,11 @@ DEFAULT_STEP_CAP = 1_000_000
 
 def _sigma_letters(w: Word) -> list[tuple[int, int]]:
     out = []
-    for gen, e in w.letters:
+    for c in w.codes:
+        gen = symbol(c)
         if gen.kind != "s":
             raise UnsupportedLetterError(f"handle reduction needs crossing letters only, got {gen}")
-        out.append((gen.i, e))
+        out.append((gen.i, 1 if c > 0 else -1))
     return out
 
 
@@ -114,7 +115,6 @@ def handle_reduce(w: Word, step_cap: int = DEFAULT_STEP_CAP) -> Word:
         if steps > step_cap:
             raise StepLimitError(f"handle reduction exceeded {step_cap} steps")
         letters = _reduce_once(letters, *found)
-    from braidhomotopy.words import sigma
     return Word(tuple((sigma(i), e) for i, e in letters), w.context)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from braidhomotopy.words import Gen, Word
+from braidhomotopy.words import Gen, Word, code, symbol
 
 
 class BasisError(ValueError):
@@ -82,28 +82,25 @@ def series_mul(a: NonRepeatingSeries, b: NonRepeatingSeries) -> NonRepeatingSeri
     return NonRepeatingSeries(a.rank, out)
 
 
-def _default_basis(w: Word) -> list[Gen]:
-    gens = {gen for gen, _ in w.letters}
-    return sorted(gens, key=Gen.sort_key)
-
-
 def magnus_image(w: Word, basis: Sequence[Gen] | None = None) -> NonRepeatingSeries:
     """Multiplicative extension of gen -> 1 + X_i over the given basis.
 
     Without an explicit basis the word's own letters, sorted, serve as
     one.  Letters outside the basis are rejected.
     """
-    basis = list(basis) if basis is not None else _default_basis(w)
-    index = {gen: i + 1 for i, gen in enumerate(basis)}
+    if basis is None:
+        basis = sorted({symbol(c) for c in w.codes}, key=Gen.sort_key)
+    index = {code(gen): i + 1 for i, gen in enumerate(basis)}
     if len(index) != len(basis):
         raise BasisError("basis contains a repeated symbol")
     rank = len(basis)
     # multiply left-to-right by (1 +/- X_i): cheap incremental update
     coeffs: dict[tuple[int, ...], int] = {(): 1}
-    for gen, e in w.letters:
-        if gen not in index:
-            raise BasisError(f"letter {gen} outside the basis")
-        i = index[gen]
+    for c in w.codes:
+        i = index.get(c if c > 0 else -c)
+        if i is None:
+            raise BasisError(f"letter {symbol(c)} outside the basis")
+        e = 1 if c > 0 else -1
         out = dict(coeffs)
         for key, c in coeffs.items():
             if i in key:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from braidhomotopy.words import Gen, Word
+from braidhomotopy.words import Gen, Word, symbol
 
 
 class UnsupportedLetterError(ValueError):
@@ -70,6 +70,21 @@ def inverse(p: Permutation) -> Permutation:
     return Permutation(tuple(images))
 
 
+# Memo of a fixed fact per signed letter code: k for s_k, 0 for a loop or
+# band letter.  Atom images come with each call and are never memoized.
+_ACTION: dict[int, int] = {}
+
+
+def _letter_action(c: int, atom_images: Mapping[Gen, Permutation] | None) -> int | tuple:
+    gen = symbol(c)
+    if gen.kind in ("s", "a", "t"):
+        _ACTION[c] = gen.i if gen.kind == "s" else 0
+        return _ACTION[c]
+    if atom_images is not None and gen in atom_images:
+        return atom_images[gen].images
+    raise UnsupportedLetterError(f"no permutation image for letter {gen}")
+
+
 def word_permutation(w: Word, n: int,
                      atom_images: Mapping[Gen, Permutation] | None = None) -> Permutation:
     """Image of a word under the homomorphism to the symmetric group.
@@ -79,20 +94,15 @@ def word_permutation(w: Word, n: int,
     rejected unless ``atom_images`` assigns them a permutation.
     """
     images = list(range(1, n + 1))
-    for gen, _ in w.letters:
-        if gen.kind == "s":
-            k = gen.i
-            tau = None
-        elif gen.kind in ("a", "t"):
-            continue
-        elif atom_images is not None and gen in atom_images:
-            tau = atom_images[gen].images
-        else:
-            raise UnsupportedLetterError(f"no permutation image for letter {gen}")
-        if tau is None:
+    for c in w.codes:
+        k = _ACTION.get(c)
+        if k is None:
+            k = _letter_action(c, atom_images)
+            if type(k) is tuple:
+                images = [images[k[i] - 1] for i in range(n)]
+                continue
+        if k:
             images[k - 1], images[k] = images[k], images[k - 1]
-        else:
-            images = [images[tau[i] - 1] for i in range(n)]
     return Permutation(tuple(images))
 
 

@@ -31,17 +31,23 @@ from braidhomotopy.words import (
     Word,
     atom,
     band,
+    check_gen,
+    code,
     commutator,
     concat,
     concat_all,
-    conjugate,
     enumerate_shortlex,
     format_word,
     gen_word,
+    inverse_codes,
     invert,
+    join_codes,
     loop,
+    parse_gen,
     parse_word,
     sigma,
+    substitute,
+    symbol,
 )
 
 
@@ -116,6 +122,12 @@ class RelatorFamily:
 
     ``strand`` fixes i for LH/LH1; 0 means all strands (HN).  ``bound``
     is the default shortlex truncation for the conjugator h.
+
+    Stream order contract: strand i ascending, then j ascending, then h
+    in the order of ``enumerate_shortlex(strand_basis(i), bound)``.
+    Labels and the skipping of freely trivial instances are part of the
+    contract too: serialized presentations and their digests depend on
+    all three.
     """
 
     kind: str
@@ -124,11 +136,9 @@ class RelatorFamily:
     strand: int
     bound: int
 
-    def basis(self) -> tuple[Gen, ...]:
-        i = 1 if self.kind in ("LH",) else self.strand
-        if self.kind == "HN":
-            raise ValueError("HN family has one basis per strand; see strand_basis")
-        return self.strand_basis(i)
+    def __post_init__(self):
+        if self.kind not in ("LH", "HN", "LH1"):
+            raise ValueError(f"unknown relator family kind {self.kind!r}")
 
     def strand_basis(self, i: int) -> tuple[Gen, ...]:
         loops = tuple(loop(i, r) for r in range(1, 2 * self.g + 1))
@@ -142,40 +152,55 @@ class RelatorFamily:
         if bound < 0:
             raise ValueError(f"truncation bound must be >= 0, got {bound}")
         n, g = self.n, self.g
+        ctx = (n, g)
         strands = range(1, n) if self.kind == "HN" else [self.strand]
         for i in strands:
-            basis = self.strand_basis(i)
-            sub = None
-            if self.kind in ("LH", "HN"):
-                sub = {gen: _basis_expansion(gen, n, g) for gen in basis}
+            conjugators = self._conjugators(i, bound)
             for j in range(i + 1, n + 1):
-                t = expand_t(i, j, n, g) if sub is not None else gen_word(band(i, j), n, g)
-                for h in enumerate_shortlex(basis, bound, n, g):
-                    hw = _substitute(h, sub) if sub is not None else h
-                    rel = commutator(t, conjugate(t, hw))
-                    if not rel:
-                        continue
-                    tag = format_word(h).replace(" ", ",") or "1"
-                    if self.kind == "LH1":
-                        yield f"{self.kind}[i={i},j={j},h={tag}]", rel
-                    elif self.kind == "HN":
-                        yield f"HN[i={i},j={j},h={tag}]", rel
-                    else:
-                        yield f"LH[j={j},h={tag}]", rel
+                if self.kind == "LH1":
+                    t = gen_word(band(i, j), n, g).codes
+                    head = f"LH1[i={i},j={j},h="
+                else:
+                    t = expand_t(i, j, n, g).codes
+                    head = f"HN[i={i},j={j},h=" if self.kind == "HN" else f"LH[j={j},h="
+                t_inv = inverse_codes(t)
+                for tag, hw, hw_inv in conjugators:
+                    # t hw t hw^-1 t^-1 hw t^-1 hw^-1 = [t, hw t hw^-1], one pass
+                    rel = t
+                    for part in (hw, t, hw_inv, t_inv, hw, t_inv, hw_inv):
+                        rel = join_codes(rel, part)
+                    if rel:
+                        yield head + tag + "]", Word.from_codes(rel, ctx)
+
+    def _conjugators(self, i: int, bound: int) -> list[tuple[str, tuple, tuple]]:
+        """(label tag, expansion, inverse) per h; each extends its parent prefix's."""
+        n, g = self.n, self.g
+        basis = self.strand_basis(i)
+        image = {}
+        for gen in basis:
+            c = code(gen)
+            rep = expand_gen(gen, n, g) if self.kind != "LH1" else gen_word(gen, n, g)
+            image[c], image[-c] = rep.codes, inverse_codes(rep.codes)
+        expansion: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
+        out = []
+        for h in enumerate_shortlex(basis, bound, n, g):
+            if h:
+                expansion[h.codes] = join_codes(expansion[h.codes[:-1]], image[h.codes[-1]])
+            hw = expansion[h.codes]
+            out.append((format_word(h).replace(" ", ",") or "1", hw, inverse_codes(hw)))
+        return out
 
 
-def _basis_expansion(gen: Gen, n: int, g: int) -> Word:
+def expand_gen(gen: Gen, n: int, g: int) -> Word:
+    """Loop or band generator as a crossing/loop word."""
     if gen.kind == "a":
         return expand_a(gen.i, gen.j, n, g)
     return expand_t(gen.i, gen.j, n, g)
 
 
-def _substitute(w: Word, table: dict[Gen, Word]) -> Word:
-    parts = []
-    for gen, e in w.letters:
-        rep = table[gen]
-        parts.append(rep if e == 1 else invert(rep))
-    return concat_all(parts) if parts else Word()
+def expand_word(w: Word, n: int, g: int) -> Word:
+    """Loop/band word rewritten into crossing/loop letters."""
+    return substitute(w, lambda gen: expand_gen(gen, n, g))
 
 
 @dataclass(frozen=True)
@@ -195,21 +220,25 @@ class Presentation:
     def __post_init__(self):
         if len(self.relators) != len(self.labels):
             raise ValueError("relators and labels must align")
-        gens = set(self.generators)
+        letters = {code(gen) for gen in self.generators}
+        letters.update([-c for c in letters])
         for label, rel in zip(self.labels, self.relators):
-            for gen, _ in rel.letters:
-                if gen not in gens:
-                    raise ValueError(f"relator {label} uses non-generator {gen}")
+            if not letters.issuperset(rel.codes):
+                bad = next(c for c in rel.codes if c not in letters)
+                raise ValueError(f"relator {label} uses non-generator {symbol(bad)}")
+
+    def iter_relators(self, bound: int | None = None) -> Iterator[tuple[str, Word]]:
+        """Stream the finite relators, then the family instances at the given bound."""
+        yield from zip(self.labels, self.relators)
+        for fam in self.families:
+            yield from fam.instances(bound)
 
     def labeled_relators(self, bound: int | None = None) -> list[tuple[str, Word]]:
-        """Finite relators followed by family instances at the given bound."""
-        out = list(zip(self.labels, self.relators))
-        for fam in self.families:
-            out.extend(fam.instances(bound))
-        return out
+        """``iter_relators`` as a list."""
+        return list(self.iter_relators(bound))
 
     def all_relators(self, bound: int | None = None) -> list[Word]:
-        return [rel for _, rel in self.labeled_relators(bound)]
+        return [rel for _, rel in self.iter_relators(bound)]
 
     def with_relator(self, label: str, rel: Word) -> "Presentation":
         return replace(self, relators=self.relators + (rel,), labels=self.labels + (label,))
@@ -494,7 +523,7 @@ def hn_generators(n: int, g: int, lh_bound: int) -> Iterator[Word]:
 
 def presentation_to_text(p: Presentation, bound: int | None = None) -> str:
     """One relator per line in the token grammar (families materialized)."""
-    lines = [format_word(rel) for _, rel in p.labeled_relators(bound)]
+    lines = [format_word(rel) for _, rel in p.iter_relators(bound)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -520,20 +549,40 @@ def presentation_to_json(p: Presentation) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+_JSON_TYPES = {"family": str, "n": int, "g": int, "closed": (bool, type(None)),
+               "lh_bound": (int, type(None)), "generators": list, "relators": list,
+               "families": list, "label": str, "word": str, "kind": str, "strand": int,
+               "bound": int}
+
+
+def _fields(doc, *keys) -> list:
+    """Values of ``keys`` in a JSON object, type-checked; a bool is no int."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"presentation JSON: expected an object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"presentation JSON: missing field {key!r}")
+        types, value = _JSON_TYPES[key], doc[key]
+        if not isinstance(value, types) or (isinstance(value, bool) and types is int):
+            raise ValueError(f"presentation JSON: field {key!r} has the wrong type")
+    return [doc[key] for key in keys]
+
+
 def presentation_from_json(text: str) -> Presentation:
-    doc = json.loads(text)
-    n, g = doc["n"], doc["g"]
-    gens = tuple(_parse_gen(tok) for tok in doc["generators"])
-    relators = tuple(parse_word(entry["word"], n, g) for entry in doc["relators"])
-    labels = tuple(entry["label"] for entry in doc["relators"])
-    fams = tuple(RelatorFamily(fam["kind"], n, g, fam["strand"], fam["bound"])
-                 for fam in doc["families"])
-    return Presentation(doc["family"], n, g, doc["closed"], doc["lh_bound"],
-                        gens, relators, labels, fams)
-
-
-def _parse_gen(token: str) -> Gen:
-    w = parse_word(token, n=1 << 20, g=1 << 20)
-    if len(w.letters) != 1 or w.letters[0][1] != 1:
-        raise AlphabetError(f"not a single generator token: {token!r}")
-    return w.letters[0][0]
+    """Inverse of ``presentation_to_json``; a malformed document raises ValueError."""
+    family, n, g, closed, lh_bound, tokens, entries, fams = _fields(
+        json.loads(text), "family", "n", "g", "closed", "lh_bound", "generators", "relators",
+        "families")
+    if n < 1 or g < 0 or not all(isinstance(tok, str) for tok in tokens):
+        raise ValueError("presentation JSON: need n >= 1, g >= 0 and generator strings")
+    gens = tuple(parse_gen(tok) for tok in tokens)
+    for gen in gens:
+        check_gen(gen, n, g)
+    rels = [_fields(entry, "label", "word") for entry in entries]
+    fams = [_fields(fam, "kind", "strand", "bound") for fam in fams]
+    if any(bound < 0 for _, _, bound in fams):
+        raise ValueError("presentation JSON: family bounds must be >= 0")
+    return Presentation(family, n, g, closed, lh_bound, gens,
+                        tuple(parse_word(word, n, g) for _, word in rels),
+                        tuple(label for label, _ in rels),
+                        tuple(RelatorFamily(kind, n, g, i, bound) for kind, i, bound in fams))

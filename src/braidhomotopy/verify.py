@@ -11,6 +11,7 @@ produced in any order.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,10 +20,12 @@ from braidhomotopy.handles import is_trivial_braid
 from braidhomotopy.perms import Permutation, to_cycles, transposition, word_permutation
 from braidhomotopy.presentations import (
     Presentation,
-    expand_a,
+    RelatorFamily,
     expand_A_geo,
     expand_A_pure,
+    expand_gen,
     expand_t,
+    expand_word,
 )
 from braidhomotopy.words import (
     Gen,
@@ -36,9 +39,9 @@ from braidhomotopy.words import (
     format_word,
     gen_word,
     invert,
-    loop,
-    band,
+    code,
     sigma,
+    symbol,
 )
 
 
@@ -139,12 +142,15 @@ class Report:
 
 def abelianized_matrix(p: Presentation, bound: int | None = None) -> list[list[int]]:
     """Exponent-sum matrix: one row per relator, one column per generator."""
-    index = {gen: c for c, gen in enumerate(p.generators)}
+    column = {code(gen): col for col, gen in enumerate(p.generators)}
     rows = []
-    for _, rel in p.labeled_relators(bound):
-        row = [0] * len(p.generators)
-        for gen, e in rel.letters:
-            row[index[gen]] += e
+    for label, rel in p.iter_relators(bound):
+        row = [0] * len(column)
+        for c, k in Counter(rel.codes).items():
+            col = column.get(c if c > 0 else -c)
+            if col is None:
+                raise ValueError(f"relator {label} uses non-generator {symbol(c)}")
+            row[col] += k if c > 0 else -k
         rows.append(row)
     return rows
 
@@ -254,7 +260,7 @@ def purity_report(p: Presentation, bound: int | None = None) -> Report:
     """Check that every relator induces the trivial strand permutation."""
     images = _atom_images(p)
     records = []
-    for label, rel in p.labeled_relators(bound):
+    for label, rel in p.iter_relators(bound):
         perm = word_permutation(rel, p.n, images)
         ok = perm.is_identity()
         records.append(CheckRecord(label, "permutation", ok,
@@ -318,10 +324,7 @@ def _check_eq32(n: int, g: int, bound: int, fault: bool = False) -> Report:
     if n < 2:
         raise ValueError("eq32 needs n >= 2")
     x = atom("x")
-    basis = [loop(1, r) for r in range(1, 2 * g + 1)] + \
-            [band(1, m) for m in range(2, n + 1)]
-    expansion = {gen: (expand_a(1, gen.j, n, g) if gen.kind == "a"
-                       else expand_t(1, gen.j, n, g)) for gen in basis}
+    basis = RelatorFamily("LH", n, g, 1, bound).strand_basis(1)
     records = []
     hs = list(enumerate_shortlex(basis, bound, n, g))
     for i in range(1, n + 1):
@@ -329,8 +332,7 @@ def _check_eq32(n: int, g: int, bound: int, fault: bool = False) -> Report:
             alpha = _alpha(i, n, g)
             t1j = concat_all([alpha, gen_word(x), invert(alpha)])
             for h in hs:
-                hw = concat_all([expansion[gen] if e == 1 else invert(expansion[gen])
-                                 for gen, e in h.letters]) if h else Word()
+                hw = expand_word(h, n, g)
                 lhs = commutator(t1j, conjugate(t1j, hw))
                 gw = concat_all([invert(alpha), hw, alpha])
                 if fault:
@@ -349,31 +351,19 @@ def _check_lh_transport(n: int, g: int, fault: bool = False) -> Report:
     strand-1 basis: certified by free equality of the expansions."""
     records = []
     for i in range(2, n + 1):
-        basis = [loop(i, r) for r in range(1, 2 * g + 1)] + \
-                [band(i, m) for m in range(i + 1, n + 1)]
-        for b in basis:
+        for b in RelatorFamily("LH1", n, g, i, 0).strand_basis(i):
             word = gen_word(b, n, g)
             for k in range(i - 1, 0, -1):
                 word = extension.sigma_conj_word(word, k, n, g, wrong_parity=fault)
-            predicted = _expand_kernel_word(word, n, g)
+            predicted = expand_word(word, n, g)
             alpha = _alpha(i, n, g)
-            transported = concat_all([alpha, _expand_kernel_word(gen_word(b, n, g), n, g),
-                                      invert(alpha)])
+            transported = concat_all([alpha, expand_gen(b, n, g), invert(alpha)])
             ok = predicted == transported
-            ok_basis = all(gen.kind != "t" or gen.i == 1 for gen, _ in word.letters) and \
-                all(gen.kind != "a" or gen.i == 1 for gen, _ in word.letters)
+            ok_basis = all(gen.i == 1 or gen.kind not in ("a", "t") for gen, _ in word.letters)
             records.append(CheckRecord(f"transport[i={i},b={b}]", "free",
                                        ok and ok_basis,
                                        "" if ok and ok_basis else format_word(word)))
     return Report.build(f"lh transport n={n} g={g}", records)
-
-
-def _expand_kernel_word(w: Word, n: int, g: int) -> Word:
-    parts = []
-    for gen, e in w.letters:
-        rep = expand_a(gen.i, gen.j, n, g) if gen.kind == "a" else expand_t(gen.i, gen.j, n, g)
-        parts.append(rep if e == 1 else invert(rep))
-    return concat_all(parts) if parts else Word((), (n, g))
 
 
 def loop_expansion_comparison(n: int, g: int) -> Report:
@@ -384,7 +374,7 @@ def loop_expansion_comparison(n: int, g: int) -> Report:
     records = []
     for s in range(1, 2 * g):
         plain = expand_A_pure(2, s, n, g)
-        translated = _expand_kernel_word(plain, n, g)
+        translated = expand_word(plain, n, g)
         geo = expand_A_geo(s, n, g)
         ok = translated == geo
         records.append(CheckRecord(f"A-expansion[s={s}]", "free", ok,

@@ -1,19 +1,28 @@
 """Typed free-group words over the braid/surface generator alphabet.
 
-Letters are generator symbols with an exponent of +1 or -1; words are
-always stored freely reduced.  Three typed symbol kinds exist (crossing
-generators ``s``, surface loops ``a``, band generators ``t``) together
-with named abstract atoms.  Typed letters are validated against an
-alphabet context ``(n, g)`` attached to the word: ``n`` strands and
-genus ``g``.  Purely abstract words carry no context and combine with
-any other word.
+Letters are signed integer codes.  Every generator symbol gets a stable
+positive code from one process-wide symbol table the first time it is
+seen; the letter ``+code`` is the symbol and ``-code`` its inverse.  A
+``Word`` keeps its freely reduced letters as a tuple of codes, so free
+reduction, inversion, concatenation, conjugation and commutators compare
+ints only.  ``Gen`` objects appear only when parsing, printing and in
+the decoded ``Word.letters`` view.  Codes follow first use, so they
+differ between processes; nothing is printed or ordered by code.
+
+Three typed symbol kinds exist (crossing generators ``s``, surface loops
+``a``, band generators ``t``) together with named abstract atoms.  Typed
+letters are validated against an alphabet context ``(n, g)`` attached to
+the word: ``n`` strands and genus ``g``.  Purely abstract words carry no
+context and combine with any other word.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+import threading
+from dataclasses import dataclass
+from operator import neg
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class ContextError(ValueError):
@@ -24,29 +33,14 @@ class AlphabetError(ValueError):
     """Raised for out-of-range generator indices or malformed symbols."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Gen:
-    """A generator symbol: kind 's' | 'a' | 't' | 'x' plus indices/name.
-
-    The factory functions below intern instances, so equality usually
-    resolves by identity; field comparison remains the fallback.
-    """
+    """A generator symbol: kind 's' | 'a' | 't' | 'x' plus indices/name."""
 
     kind: str
     i: int = 0
     j: int = 0
     name: str = ""
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Gen):
-            return NotImplemented
-        return (self.kind == other.kind and self.i == other.i
-                and self.j == other.j and self.name == other.name)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.i, self.j, self.name))
 
     def __str__(self) -> str:
         if self.kind == "s":
@@ -61,43 +55,32 @@ class Gen:
         return ({"s": 0, "a": 1, "t": 2, "x": 3}[self.kind], self.i, self.j, self.name)
 
 
-_GEN_CACHE: dict[tuple, Gen] = {}
-
-
-def _interned(kind: str, i: int = 0, j: int = 0, name: str = "") -> Gen:
-    key = (kind, i, j, name)
-    gen = _GEN_CACHE.get(key)
-    if gen is None:
-        gen = _GEN_CACHE.setdefault(key, Gen(kind, i, j, name))
-    return gen
-
-
 def sigma(i: int) -> Gen:
     """Crossing generator exchanging strands i and i+1."""
     if i < 1:
         raise AlphabetError(f"sigma index must be >= 1, got {i}")
-    return _interned("s", i)
+    return Gen("s", i)
 
 
 def loop(i: int, r: int) -> Gen:
     """Surface loop generator: strand i through the r-th handle loop."""
     if i < 1 or r < 1:
         raise AlphabetError(f"loop indices must be >= 1, got ({i}, {r})")
-    return _interned("a", i, r)
+    return Gen("a", i, r)
 
 
 def band(i: int, j: int) -> Gen:
     """Band generator swapping-and-returning strands i < j."""
     if not 1 <= i < j:
         raise AlphabetError(f"band generator needs 1 <= i < j, got ({i}, {j})")
-    return _interned("t", i, j)
+    return Gen("t", i, j)
 
 
 def atom(name: str) -> Gen:
     """Abstract generator; bypasses (n, g) index validation."""
     if not name:
         raise AlphabetError("atom name must be nonempty")
-    return _interned("x", name=name)
+    return Gen("x", name=name)
 
 
 def check_gen(gen: Gen, n: int, g: int) -> None:
@@ -113,6 +96,69 @@ def check_gen(gen: Gen, n: int, g: int) -> None:
             raise AlphabetError(f"{gen} out of range for n={n}")
 
 
+# ---------------------------------------------------------------------------
+# the symbol table: append-only, indexed by positive code (0 is unused)
+
+_GENS: list[Gen | None] = [None]
+_NAMES: list[str] = [""]
+_CODES: dict[Gen, int] = {}
+_SPELLINGS: dict[str, int] = {}  # token spelling -> code, filled by the parser
+_TABLE_LOCK = threading.Lock()
+
+
+def code(gen: Gen) -> int:
+    """The positive letter code of a symbol, assigned on first use."""
+    c = _CODES.get(gen)
+    if c is None:
+        with _TABLE_LOCK:
+            c = _CODES.get(gen)
+            if c is None:
+                c = len(_GENS)
+                _GENS.append(gen)
+                _NAMES.append(str(gen))
+                _CODES[gen] = c
+    return c
+
+
+def symbol(c: int) -> Gen:
+    """The symbol of a signed letter code."""
+    return _GENS[c if c > 0 else -c]
+
+
+_SYMBOL_RE = re.compile(
+    r"s(?P<si>\d+)|a(?P<ai>\d+)\.(?P<ar>\d+)|t(?P<ti>\d+)\.(?P<tj>\d+)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+)
+
+
+def _spelling_code(text: str) -> int:
+    """Code of a symbol spelled like ``s1``, ``a2.3``, ``t1.3`` or an atom name."""
+    c = _SPELLINGS.get(text)
+    if c is None:
+        m = _SYMBOL_RE.fullmatch(text)
+        if m is None:
+            raise AlphabetError(f"not a generator symbol: {text!r}")
+        if m.group("si") is not None:
+            gen = sigma(int(m.group("si")))
+        elif m.group("ai") is not None:
+            gen = loop(int(m.group("ai")), int(m.group("ar")))
+        elif m.group("ti") is not None:
+            gen = band(int(m.group("ti")), int(m.group("tj")))
+        else:
+            gen = atom(m.group("name"))
+        c = _SPELLINGS.setdefault(text, code(gen))
+    return c
+
+
+def parse_gen(token: str) -> Gen:
+    """A single generator symbol such as ``a1.2``; no exponent, no context check."""
+    return _GENS[_spelling_code(token)]
+
+
+# ---------------------------------------------------------------------------
+# words
+
+
 def _merge_context(a, b):
     if a is None:
         return b
@@ -121,63 +167,78 @@ def _merge_context(a, b):
     raise ContextError(f"incompatible alphabet contexts {a} and {b}")
 
 
-def _reduce_chain(chains: Iterable[Sequence[tuple[Gen, int]]]) -> tuple[tuple[Gen, int], ...]:
-    stack: list[tuple[Gen, int]] = []
-    for chain in chains:
-        for let in chain:
-            if stack and stack[-1][0] == let[0] and stack[-1][1] == -let[1]:
-                stack.pop()
-            else:
-                stack.append(let)
+def _reduce(codes: Iterable[int]) -> tuple[int, ...]:
+    """Free reduction of an arbitrary letter sequence."""
+    stack: list[int] = []
+    for c in codes:
+        if stack and stack[-1] == -c:
+            stack.pop()
+        else:
+            stack.append(c)
     return tuple(stack)
 
 
-@dataclass(frozen=True)
+def join_codes(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Freely reduced product of freely reduced codes: only the junction cancels."""
+    if a and b and a[-1] == -b[0]:
+        k, m = 1, min(len(a), len(b))
+        while k < m and a[-1 - k] == -b[k]:
+            k += 1
+        return a[:len(a) - k] + b[k:]
+    return a + b
+
+
+def inverse_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
+    """Letter codes of the inverse word."""
+    return tuple(map(neg, reversed(codes)))
+
+
+@dataclass(frozen=True, init=False)
 class Word:
     """A freely reduced word; the empty word is the identity.
 
-    ``context`` is ``(n, g)`` for words containing typed letters and
-    ``None`` for purely abstract words.  Instances are immutable and all
-    operations are pure, so words are safe to share between threads.
+    ``Word(letters, context)`` encodes ``(Gen, +1/-1)`` pairs into
+    ``codes``.  ``context`` is ``(n, g)`` for words containing typed
+    letters and ``None`` for purely abstract words.  Instances are
+    immutable and all operations are pure, so words are safe to share
+    between threads.
     """
 
-    letters: tuple[tuple[Gen, int], ...] = ()
-    context: tuple[int, int] | None = field(default=None)
+    __slots__ = ("codes", "context")
+    codes: tuple[int, ...]
+    context: tuple[int, int] | None
 
-    def __post_init__(self):
-        if self.context is None:
-            for gen, _ in self.letters:
-                if gen.kind != "x":
-                    raise ContextError(f"typed letter {gen} requires an (n, g) context")
-        else:
-            n, g = self.context
-            typed = False
-            for gen, _ in self.letters:
-                check_gen(gen, n, g)
-                typed = typed or gen.kind != "x"
-            if not typed:
-                # atom-only words are context-free; normalize for equality
-                object.__setattr__(self, "context", None)
+    def __init__(self, letters: Iterable[tuple[Gen, int]] = (),
+                 context: tuple[int, int] | None = None):
+        codes = tuple(code(gen) if e > 0 else -code(gen) for gen, e in letters)
+        _init(self, codes, _checked_context(codes, context))
+
+    @classmethod
+    def from_codes(cls, codes: tuple[int, ...], context: tuple[int, int] | None) -> "Word":
+        """Wrap freely reduced codes whose typed letters are valid in ``context``."""
+        w = object.__new__(cls)
+        _init(w, codes, context)
+        return w
+
+    @property
+    def letters(self) -> tuple[tuple[Gen, int], ...]:
+        """The letters decoded as ``(Gen, +1/-1)`` pairs."""
+        return tuple((_GENS[c], 1) if c > 0 else (_GENS[-c], -1) for c in self.codes)
+
+    def __reduce__(self):  # codes are per process: pickle the symbols
+        return Word, (self.letters, self.context)
+
+    def __repr__(self) -> str:
+        return f"Word({format_word(self)!r}, context={self.context})"
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
 
     def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __iter__(self) -> Iterator[tuple[Gen, int]]:
-        return iter(self.letters)
+        return bool(self.codes)
 
     def __mul__(self, other: "Word") -> "Word":
         return concat(self, other)
-
-    def __pow__(self, e: int) -> "Word":
-        if e < 0:
-            return invert(self) ** -e
-        out = Word((), self.context)
-        for _ in range(e):
-            out = concat(out, self)
-        return out
 
     def inverse(self) -> "Word":
         return invert(self)
@@ -186,22 +247,28 @@ class Word:
         return format_word(self)
 
 
-EPSILON = Word()
-
-
-def _make_word(letters: tuple[tuple[Gen, int], ...],
-               context: tuple[int, int] | None) -> Word:
-    """Internal constructor for letters already validated against context."""
-    if context is not None:
-        for gen, _ in letters:
-            if gen.kind != "x":
-                break
-        else:
-            context = None
-    w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
+def _init(w: Word, codes: tuple[int, ...], context) -> None:
+    if context is not None and all(_GENS[abs(c)].kind == "x" for c in codes):
+        context = None  # atom-only words are context-free; normalize for equality
+    object.__setattr__(w, "codes", codes)
     object.__setattr__(w, "context", context)
-    return w
+
+
+def _checked_context(codes: Sequence[int], context):
+    """Check every typed letter against the context, in order of first use."""
+    for c in dict.fromkeys(map(abs, codes)):
+        if context is not None:
+            check_gen(_GENS[c], *context)
+        elif _GENS[c].kind != "x":
+            raise ContextError(f"typed letter {_GENS[c]} requires an (n, g) context")
+    return context
+
+
+def _checked(codes: tuple[int, ...], context) -> Word:
+    return Word.from_codes(codes, _checked_context(codes, context))
+
+
+EPSILON = Word()
 
 
 def free_reduce(letters: Iterable[tuple[Gen, int]], n: int | None = None,
@@ -212,48 +279,53 @@ def free_reduce(letters: Iterable[tuple[Gen, int]], n: int | None = None,
     the free group.  Typed letters require ``n`` (and ``g`` for loops).
     """
     letters = tuple(letters)
-    context = None
-    if n is not None:
-        context = (n, 0 if g is None else g)
-    elif any(gen.kind != "x" for gen, _ in letters):
+    if n is None and any(gen.kind != "x" for gen, _ in letters):
         raise ContextError("typed letters require an (n, g) context")
     for gen, e in letters:
         if e not in (1, -1):
             raise AlphabetError(f"letter exponent must be +/-1, got {e}")
-    return Word(_reduce_chain([letters]), context)
+    context = None if n is None else (n, 0 if g is None else g)
+    return _checked(_reduce(code(gen) * e for gen, e in letters), context)
 
 
 def concat(u: Word, v: Word) -> Word:
     """Freely reduced product u * v; contexts must be compatible."""
     context = _merge_context(u.context, v.context)
-    return _make_word(_reduce_chain([u.letters, v.letters]), context)
+    return Word.from_codes(join_codes(u.codes, v.codes), context)
 
 
 def concat_all(words: Sequence[Word]) -> Word:
     context = None
+    codes: tuple[int, ...] = ()
     for w in words:
         context = _merge_context(context, w.context)
-    return _make_word(_reduce_chain([w.letters for w in words]), context)
+        codes = join_codes(codes, w.codes)
+    return Word.from_codes(codes, context)
 
 
 def invert(w: Word) -> Word:
     """Mirror-reflection inverse: reversed letters with flipped signs."""
-    return _make_word(tuple((gen, -e) for gen, e in reversed(w.letters)), w.context)
+    return Word.from_codes(inverse_codes(w.codes), w.context)
 
 
 def conjugate(t: Word, h: Word) -> Word:
     """The conjugate h * t * h^-1 (conjugator on the left)."""
     context = _merge_context(t.context, h.context)
-    inv_h = tuple((gen, -e) for gen, e in reversed(h.letters))
-    return _make_word(_reduce_chain([h.letters, t.letters, inv_h]), context)
+    codes = join_codes(join_codes(h.codes, t.codes), inverse_codes(h.codes))
+    return Word.from_codes(codes, context)
 
 
 def commutator(u: Word, v: Word) -> Word:
     """The commutator u * v * u^-1 * v^-1."""
     context = _merge_context(u.context, v.context)
-    inv_u = tuple((gen, -e) for gen, e in reversed(u.letters))
-    inv_v = tuple((gen, -e) for gen, e in reversed(v.letters))
-    return _make_word(_reduce_chain([u.letters, v.letters, inv_u, inv_v]), context)
+    codes = join_codes(join_codes(u.codes, v.codes), inverse_codes(u.codes))
+    codes = join_codes(codes, inverse_codes(v.codes))
+    return Word.from_codes(codes, context)
+
+
+def substitute(w: Word, image: Callable[[Gen], Word]) -> Word:
+    """Image of w under the homomorphism sending each generator to image(gen)."""
+    return concat_all([image(gen) if e > 0 else invert(image(gen)) for gen, e in w.letters])
 
 
 def gen_word(gen: Gen, n: int | None = None, g: int | None = None,
@@ -262,8 +334,8 @@ def gen_word(gen: Gen, n: int | None = None, g: int | None = None,
     context = None if n is None else (n, 0 if g is None else g)
     if gen.kind != "x" and context is None:
         raise ContextError(f"typed letter {gen} requires an (n, g) context")
-    sign = 1 if e > 0 else -1
-    return Word(tuple((gen, sign) for _ in range(abs(e))), context)
+    c = code(gen)
+    return _checked((c if e > 0 else -c,) * abs(e), context)
 
 
 def enumerate_shortlex(basis: Sequence[Gen], max_len: int,
@@ -276,28 +348,21 @@ def enumerate_shortlex(basis: Sequence[Gen], max_len: int,
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     context = None if n is None else (n, 0 if g is None else g)
-    if context is None and any(b.kind != "x" for b in basis):
-        raise ContextError("typed basis symbols require an (n, g) context")
-    alphabet = [(b, 1) for b in basis] + [(b, -1) for b in basis]
-    yield Word((), context)
-    layer: list[tuple[tuple[Gen, int], ...]] = [()]
+    codes = [code(b) for b in basis]
+    _checked_context(codes, context)
+    alphabet = codes + [-c for c in codes]
+    yield Word.from_codes((), context)
+    layer: list[tuple[int, ...]] = [()]
     for _ in range(max_len):
         next_layer = []
         for prefix in layer:
-            for let in alphabet:
-                if prefix and prefix[-1][0] == let[0] and prefix[-1][1] == -let[1]:
-                    continue
-                ext = prefix + (let,)
-                next_layer.append(ext)
-                yield Word(ext, context)
+            last = prefix[-1] if prefix else 0
+            for c in alphabet:
+                if c != -last:
+                    ext = prefix + (c,)
+                    next_layer.append(ext)
+                    yield Word.from_codes(ext, context)
         layer = next_layer
-
-
-_TOKEN_RE = re.compile(
-    r"(?:s(?P<si>\d+)|a(?P<ai>\d+)\.(?P<ar>\d+)|t(?P<ti>\d+)\.(?P<tj>\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*))"
-    r"(?:\^(?P<exp>-?\d+))?$"
-)
 
 
 def parse_word(text: str, n: int | None = None, g: int | None = None) -> Word:
@@ -307,40 +372,40 @@ def parse_word(text: str, n: int | None = None, g: int | None = None) -> Word:
     optional ``^<signed int>`` exponent.  Abstract identifiers may not
     collide with the reserved ``s<i>``/``a<i>.<r>``/``t<i>.<j>`` forms.
     """
-    letters: list[tuple[Gen, int]] = []
+    codes: list[int] = []
     for token in text.split():
-        m = _TOKEN_RE.match(token)
-        if m is None:
+        name, caret, exp = token.partition("^")
+        if caret and not (exp[1:] if exp[:1] == "-" else exp).isdecimal():
             raise AlphabetError(f"unparseable token {token!r}")
-        if m.group("si") is not None:
-            gen = sigma(int(m.group("si")))
-        elif m.group("ai") is not None:
-            gen = loop(int(m.group("ai")), int(m.group("ar")))
-        elif m.group("ti") is not None:
-            gen = band(int(m.group("ti")), int(m.group("tj")))
+        c = _spelling_code(name)
+        if not caret:
+            codes.append(c)
         else:
-            gen = atom(m.group("name"))
-        exp = 1 if m.group("exp") is None else int(m.group("exp"))
-        sign = 1 if exp > 0 else -1
-        letters.extend((gen, sign) for _ in range(abs(exp)))
-    return free_reduce(letters, n, g)
+            k = int(exp)
+            codes.extend([c if k > 0 else -c] * abs(k))
+    context = None if n is None else (n, 0 if g is None else g)
+    if context is None:
+        _checked_context(codes, None)  # typed letters need a context even if they cancel
+    return _checked(_reduce(codes), context)
 
 
 def format_word(w: Word) -> str:
     """Render a word in the token grammar; runs collapse to powers."""
-    if not w.letters:
-        return ""
     parts = []
-    run_gen, run_exp = w.letters[0]
-    for gen, e in w.letters[1:]:
-        if gen == run_gen and (e > 0) == (run_exp > 0):
-            run_exp += e
+    run, k = 0, 0
+    for c in w.codes:
+        if c == run:
+            k += 1
         else:
-            parts.append(_format_run(run_gen, run_exp))
-            run_gen, run_exp = gen, e
-    parts.append(_format_run(run_gen, run_exp))
+            if k:
+                parts.append(_power(run, k))
+            run, k = c, 1
+    if k:
+        parts.append(_power(run, k))
     return " ".join(parts)
 
 
-def _format_run(gen: Gen, exp: int) -> str:
-    return str(gen) if exp == 1 else f"{gen}^{exp}"
+def _power(c: int, k: int) -> str:
+    if c > 0:
+        return _NAMES[c] if k == 1 else f"{_NAMES[c]}^{k}"
+    return f"{_NAMES[-c]}^{-k}"
