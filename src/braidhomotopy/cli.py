@@ -16,7 +16,13 @@ import sys
 from braidhomotopy import extension as ext
 from braidhomotopy import handles, magnus, presentations as pres, verify
 from braidhomotopy.perms import UnsupportedLetterError
-from braidhomotopy.words import AlphabetError, ContextError, format_word, parse_word
+from braidhomotopy.words import (
+    AlphabetError,
+    ContextError,
+    ResourceLimitError,
+    format_word,
+    parse_word,
+)
 
 
 class _UsageError(Exception):
@@ -255,7 +261,7 @@ def run_command(argv: list[str], stdin: bytes = b"") -> tuple[int, bytes, bytes]
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         code = 2
-    except handles.StepLimitError as exc:
+    except ResourceLimitError as exc:
         err.write(f"resource limit: {exc}\n")
         code = 3
     except (AlphabetError, ContextError, UnsupportedLetterError, ValueError) as exc:

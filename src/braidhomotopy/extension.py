@@ -463,15 +463,28 @@ def extension_data_to_json(data: ExtensionData) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _string_map(value, field: str) -> dict[str, str]:
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise ValueError(f"extension JSON: field {field!r} must map names to strings")
+    return value
+
+
 def extension_data_from_json(text: str) -> ExtensionData:
+    """Inverse of ``extension_data_to_json``; a malformed document raises ValueError."""
     doc = json.loads(text)
+    fields = ("kernel", "quotient", "lifts", "rel_words", "conj_words")
+    if not isinstance(doc, dict) or not all(key in doc for key in fields):
+        raise ValueError(f"extension JSON: need an object with fields {', '.join(fields)}")
+    if not isinstance(doc["conj_words"], dict):
+        raise ValueError("extension JSON: field 'conj_words' must be an object")
     kernel = presentation_from_json(json.dumps(doc["kernel"]))
     quotient = presentation_from_json(json.dumps(doc["quotient"]))
     n, g = kernel.n, kernel.g
-    lifts = {parse_gen(y): parse_gen(t) for y, t in doc["lifts"].items()}
-    rel_words = {label: parse_word(body, n, g) for label, body in doc["rel_words"].items()}
+    lifts = {parse_gen(y): parse_gen(t) for y, t in _string_map(doc["lifts"], "lifts").items()}
+    rel_words = {label: parse_word(body, n, g)
+                 for label, body in _string_map(doc["rel_words"], "rel_words").items()}
     conj_words = {}
     for y, table in doc["conj_words"].items():
-        for x, body in table.items():
+        for x, body in _string_map(table, f"conj_words.{y}").items():
             conj_words[(parse_gen(y), parse_gen(x))] = parse_word(body, n, g)
     return ExtensionData(kernel, quotient, lifts, rel_words, conj_words)

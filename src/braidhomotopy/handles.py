@@ -4,10 +4,20 @@ words (the classical braid group inside the surface braid group).
 A handle is a subword  s_i^e v s_i^-e  whose interior v uses only
 indices > i.  Reducing it deletes the two s_i letters and rewrites each
 interior s_(i+1)^d as s_(i+1)^-e s_i^d s_(i+1)^e, an identity that
-follows from the braid relations.  Every reduction sequence terminates;
-a handle-free word is empty, or its lowest occurring index appears with
-one sign only (sigma-positive / sigma-negative), which decides
-triviality and the left order.
+follows from the braid relations.  Permitted handles (no handle of the
+next index up inside) can be reduced in any order and the process
+terminates; a handle-free word is empty, or its lowest occurring index
+appears with one sign only (sigma-positive / sigma-negative), which
+decides triviality and the left order.
+
+Reduction order, after Dehornoy ("A fast method for comparing braids",
+1997): one forward scan over a list of signed indices always reduces
+the first handle to close.  That handle contains no other handle, so it
+is permitted.  It is rewritten in place, with free cancellation at both
+junctions, and the scan resumes at the first changed position.  The
+prefix before that position is unchanged and therefore handle-free, so
+its scan state is rebuilt by a short backward scan that stops at the
+first s_1 (no index lies below it).
 """
 
 from __future__ import annotations
@@ -15,10 +25,10 @@ from __future__ import annotations
 import enum
 
 from braidhomotopy.perms import UnsupportedLetterError
-from braidhomotopy.words import Word, concat, invert, sigma, symbol
+from braidhomotopy.words import ResourceLimitError, Word, code, concat, invert, sigma, symbol
 
 
-class StepLimitError(RuntimeError):
+class StepLimitError(ResourceLimitError):
     """Raised when a reduction exceeds its step cap (diagnostic, not semantic)."""
 
 
@@ -31,91 +41,74 @@ class OrderVerdict(enum.Enum):
 DEFAULT_STEP_CAP = 1_000_000
 
 
-def _sigma_letters(w: Word) -> list[tuple[int, int]]:
-    out = []
-    for c in w.codes:
+def _signed_indices(w: Word) -> list[int]:
+    """The word as signed crossing indices: +i for s_i, -i for s_i^-1."""
+    index = {}
+    for c in set(map(abs, w.codes)):
         gen = symbol(c)
         if gen.kind != "s":
             raise UnsupportedLetterError(f"handle reduction needs crossing letters only, got {gen}")
-        out.append((gen.i, 1 if c > 0 else -1))
-    return out
+        index[c], index[-c] = gen.i, -gen.i
+    return [index[c] for c in w.codes]
 
 
-_NO_INTERIOR = 1 << 30
-
-
-def _all_handles(letters: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    """All handles as (index, open position, close position).
-
-    Handle endpoints are consecutive occurrences of the same index, so a
-    single scan tracking the minimum interior index since the previous
-    occurrence finds every handle.
-    """
-    handles = []
-    last_seen: dict[int, int] = {}
-    interior_min: dict[int, int] = {}
-    for q, (i, e) in enumerate(letters):
-        p = last_seen.get(i)
-        if p is not None and letters[p][1] == -e and interior_min[i] > i:
-            handles.append((i, p, q))
-        for j in interior_min:
-            if j != i:
-                interior_min[j] = min(interior_min[j], i)
-        last_seen[i] = q
-        interior_min[i] = _NO_INTERIOR
-    return handles
-
-
-def _find_handle(letters: list[tuple[int, int]]) -> tuple[int, int] | None:
-    """Pick the permitted handle with the lowest index, then leftmost.
-
-    A handle is permitted when it encloses no handle of the next index
-    up; reducing a non-permitted handle can regenerate itself forever.
-    The earliest-closing handle encloses nothing, so whenever a handle
-    exists a permitted one does too.
-    """
-    handles = _all_handles(letters)
-    if not handles:
-        return None
-    best: tuple[int, int, int] | None = None
-    for i, p, q in handles:
-        if any(hi == i + 1 and p < hp and hq < q for hi, hp, hq in handles):
-            continue
-        if best is None or (i, p) < (best[0], best[1]):
-            best = (i, p, q)
-    return best[1], best[2]
-
-
-def _reduce_once(letters: list[tuple[int, int]], p: int, q: int) -> list[tuple[int, int]]:
-    i, e = letters[p]
-    mid = []
-    for j, d in letters[p + 1:q]:
-        if j == i + 1:
-            mid.extend([(i + 1, -e), (i, d), (i + 1, e)])
-        else:
-            mid.append((j, d))
-    out: list[tuple[int, int]] = []
-    for let in letters[:p] + mid + letters[q + 1:]:
-        if out and out[-1][0] == let[0] and out[-1][1] == -let[1]:
-            out.pop()
-        else:
-            out.append(let)
-    return out
+def _open_positions(word: list[int], r: int) -> list[int]:
+    """Scan state after word[:r]: for each index i, from low to high, the
+    last position of i whose letters since then all have indices > i."""
+    stack, low, s = [], 1 << 30, r - 1
+    while s >= 0 and low > 1:
+        if abs(word[s]) < low:
+            stack.append(s)
+            low = abs(word[s])
+        s -= 1
+    stack.reverse()
+    return stack
 
 
 def handle_reduce(w: Word, step_cap: int = DEFAULT_STEP_CAP) -> Word:
-    """Return a handle-free word equal to w in the braid group."""
-    letters = _sigma_letters(w)
-    steps = 0
-    while True:
-        found = _find_handle(letters)
-        if found is None:
-            break
+    """Return a handle-free word equal to w in the braid group.
+
+    ``step_cap`` bounds the number of handle reductions.
+    """
+    word = _signed_indices(w)
+    stack: list[int] = []  # _open_positions(word, q), kept up to date
+    q = steps = 0
+    while q < len(word):
+        c = word[q]
+        i = abs(c)
+        while stack and abs(word[stack[-1]]) > i:
+            stack.pop()
+        if not stack or word[stack[-1]] != -c:
+            if stack and word[stack[-1]] == c:
+                stack.pop()
+            stack.append(q)
+            q += 1
+            continue
         steps += 1
         if steps > step_cap:
             raise StepLimitError(f"handle reduction exceeded {step_cap} steps")
-        letters = _reduce_once(letters, *found)
-    return Word(tuple((sigma(i), e) for i, e in letters), w.context)
+        p = stack.pop()
+        up, down = (i + 1, -i - 1) if word[p] > 0 else (-i - 1, i + 1)
+        mid: list[int] = []
+        for d in word[p + 1:q]:
+            for x in ((down, i if d > 0 else -i, up) if abs(d) == i + 1 else (d,)):
+                if mid and mid[-1] == -x:
+                    mid.pop()
+                else:
+                    mid.append(x)
+        # free cancellation at the junctions of word[:p], mid and word[q + 1:]
+        left, right, a, b = p, q + 1, 0, len(mid)
+        while left and a < b and word[left - 1] == -mid[a]:
+            left, a = left - 1, a + 1
+        while right < len(word) and a < b and mid[b - 1] == -word[right]:
+            right, b = right + 1, b - 1
+        while a == b and left and right < len(word) and word[left - 1] == -word[right]:
+            left, right = left - 1, right + 1
+        word[left:right] = mid[a:b]
+        q = left
+        stack = _open_positions(word, q)
+    codes = {i: code(sigma(i)) for i in set(map(abs, word))}
+    return Word.from_codes(tuple(codes[c] if c > 0 else -codes[-c] for c in word), w.context)
 
 
 def main_sign(w: Word) -> int:
@@ -124,20 +117,19 @@ def main_sign(w: Word) -> int:
     Meaningful on handle-free words, where the lowest occurring index is
     guaranteed to appear with a single sign.
     """
-    if not w.letters:
+    if not w.codes:
         return 0
-    low = min(gen.i for gen, _ in w.letters)
-    signs = {e for gen, e in w.letters if gen.i == low}
-    if signs == {1}:
-        return 1
-    if signs == {-1}:
-        return -1
-    raise ValueError("word is not handle-free")
+    index = {c: symbol(c).i for c in set(w.codes)}
+    low = min(index.values())
+    signs = {c > 0 for c in index if index[c] == low}
+    if len(signs) > 1:
+        raise ValueError("word is not handle-free")
+    return 1 if signs == {True} else -1
 
 
 def is_trivial_braid(w: Word, step_cap: int = DEFAULT_STEP_CAP) -> bool:
     """True iff the crossing-only word represents the trivial braid."""
-    return not handle_reduce(w, step_cap).letters
+    return not handle_reduce(w, step_cap).codes
 
 
 def braid_compare(u: Word, v: Word, step_cap: int = DEFAULT_STEP_CAP) -> OrderVerdict:

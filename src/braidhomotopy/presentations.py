@@ -145,6 +145,18 @@ class RelatorFamily:
         bands = tuple(band(i, m) for m in range(i + 1, self.n + 1))
         return loops + bands
 
+    def _letter_image(self, gen: Gen) -> Word:
+        """A strand-basis letter as the relators spell it (expanded unless LH1)."""
+        if self.kind == "LH1":
+            return gen_word(gen, self.n, self.g)
+        return expand_gen(gen, self.n, self.g)
+
+    def alphabet(self) -> set[Gen]:
+        """Every symbol the relators can use: the letters of each strand basis's images."""
+        strands = range(1, self.n) if self.kind == "HN" else [self.strand]
+        return {symbol(c) for i in strands for gen in self.strand_basis(i)
+                for c in self._letter_image(gen).codes}
+
     def instances(self, bound: int | None = None) -> Iterator[tuple[str, Word]]:
         """Yield (label, relator) pairs, skipping freely trivial instances."""
         if bound is None:
@@ -179,7 +191,7 @@ class RelatorFamily:
         image = {}
         for gen in basis:
             c = code(gen)
-            rep = expand_gen(gen, n, g) if self.kind != "LH1" else gen_word(gen, n, g)
+            rep = self._letter_image(gen)
             image[c], image[-c] = rep.codes, inverse_codes(rep.codes)
         expansion: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
         out = []
@@ -226,6 +238,12 @@ class Presentation:
             if not letters.issuperset(rel.codes):
                 bad = next(c for c in rel.codes if c not in letters)
                 raise ValueError(f"relator {label} uses non-generator {symbol(bad)}")
+        for fam in self.families:
+            missing = fam.alphabet().difference(self.generators)
+            if missing:
+                bad = min(missing, key=Gen.sort_key)
+                raise ValueError(f"relator family {fam.kind} (strand {fam.strand}) "
+                                 f"uses non-generator {bad}")
 
     def iter_relators(self, bound: int | None = None) -> Iterator[tuple[str, Word]]:
         """Stream the finite relators, then the family instances at the given bound."""

@@ -33,6 +33,13 @@ class AlphabetError(ValueError):
     """Raised for out-of-range generator indices or malformed symbols."""
 
 
+class ResourceLimitError(RuntimeError):
+    """Raised when an input would need more than a fixed cap of work or memory."""
+
+
+MAX_WORD_LETTERS = 1_000_000  # longest word parse_word expands, before free reduction
+
+
 @dataclass(frozen=True)
 class Gen:
     """A generator symbol: kind 's' | 'a' | 't' | 'x' plus indices/name."""
@@ -371,6 +378,8 @@ def parse_word(text: str, n: int | None = None, g: int | None = None) -> Word:
     Tokens are whitespace separated; each is a symbol name with an
     optional ``^<signed int>`` exponent.  Abstract identifiers may not
     collide with the reserved ``s<i>``/``a<i>.<r>``/``t<i>.<j>`` forms.
+    A word longer than ``MAX_WORD_LETTERS`` letters with its exponents
+    expanded raises ResourceLimitError before it is expanded.
     """
     codes: list[int] = []
     for token in text.split():
@@ -382,7 +391,11 @@ def parse_word(text: str, n: int | None = None, g: int | None = None) -> Word:
             codes.append(c)
         else:
             k = int(exp)
+            if len(codes) + abs(k) > MAX_WORD_LETTERS:
+                raise ResourceLimitError(f"word exceeds {MAX_WORD_LETTERS} letters at {token!r}")
             codes.extend([c if k > 0 else -c] * abs(k))
+    if len(codes) > MAX_WORD_LETTERS:
+        raise ResourceLimitError(f"word exceeds {MAX_WORD_LETTERS} letters")
     context = None if n is None else (n, 0 if g is None else g)
     if context is None:
         _checked_context(codes, None)  # typed letters need a context even if they cancel

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import time
 
 import pytest
 
@@ -113,3 +114,21 @@ def test_family_letters_outside_the_generators_exit_two(tmp_path):
     path.write_text(json.dumps(dict(GOOD, generators=["s1", "s2", "a1.1"])))
     code_, _, err = run_command(["h1", "--input", str(path)])
     assert code_ == 2 and b"non-generator" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "purity"], ["h1"]])
+def test_family_alphabet_must_be_generators(tmp_path, argv):
+    # the n=3 LH family needs s2 and a1.2; neither is among the generators
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(GOOD, generators=["s1", "a1.1"], relators=[])))
+    code_, out, err = run_command(argv + ["--input", str(path)])
+    assert code_ == 2 and out == b"" and b"non-generator" in err
+
+
+def test_exponent_beyond_the_word_cap_exits_three_before_expanding():
+    start = time.perf_counter()
+    code_, out, err = run_command(["reduce", "--oracle", "dehornoy", "s1^100000000", "-n", "2"])
+    assert time.perf_counter() - start < 0.5
+    assert (code_, out) == (3, b"") and err.startswith(b"resource limit: ")
+    code_, _, err = run_command(["reduce", "s1^600000 s2^-600000", "-n", "3"])
+    assert code_ == 3 and err.startswith(b"resource limit: ")

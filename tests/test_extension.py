@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -283,3 +284,20 @@ def test_tietze_inverse_occurrence():
                      (defining, other), ("def", "other"))
     out = tietze_eliminate(p, z, defining)
     assert [format_word(w) for w in out.relators] == ["y x y^-1"]
+
+
+_GOOD_EXTENSION = json.loads(extension_data_to_json(braid_extension_data(2, 1, True, 1)))
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [1], "text",
+    *({k: v for k, v in _GOOD_EXTENSION.items() if k != key} for key in _GOOD_EXTENSION),
+    dict(_GOOD_EXTENSION, kernel=[]), dict(_GOOD_EXTENSION, quotient={"n": 2}),
+    dict(_GOOD_EXTENSION, lifts=["s1"]), dict(_GOOD_EXTENSION, lifts={"s1": 3}),
+    dict(_GOOD_EXTENSION, rel_words={"R1": None}), dict(_GOOD_EXTENSION, conj_words=[]),
+    dict(_GOOD_EXTENSION, conj_words={"s1": "a1.1"}),
+    dict(_GOOD_EXTENSION, conj_words={"s1": {"a1.1": 1}}),
+])
+def test_malformed_extension_json_raises_value_error(doc):
+    with pytest.raises(ValueError):
+        extension_data_from_json(json.dumps(doc))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from braidhomotopy.cli import run_command
 from braidhomotopy.handles import (
     OrderVerdict,
     StepLimitError,
@@ -207,3 +208,44 @@ def test_burau_certifies_conjugation_table():
                                   else invert(expand_t(g.i, g.j, n))
                                   for g, e in rhs_word.letters])
                 assert _burau(concat(lhs, invert(rhs))) == _ID
+
+
+# --- handle-free output, checked by a naive handle finder -------------------
+
+def _naive_handle(word):
+    """A handle s_i^e v s_i^-e with every index in v above i, or None."""
+    indices = [(gen.i, e) for gen, e in word.letters]
+    for p, (i, e) in enumerate(indices):
+        for q in range(p + 1, len(indices)):
+            j, d = indices[q]
+            if j <= i:
+                if (j, d) == (i, -e):
+                    return p, q
+                break
+    return None
+
+
+def test_naive_handle_finder_finds_handles():
+    assert _naive_handle(parse_word("s2 s1 s3 s2^-1 s1^-1", 4)) == (1, 4)
+    assert _naive_handle(parse_word("s1 s2 s1", 3)) is None
+
+
+def test_output_contains_no_handle():
+    rng = random.Random(17)
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        w = rand_sigma_word(rng, n, rng.randint(0, 60))
+        assert _naive_handle(handle_reduce(w)) is None, w
+
+
+def test_step_cap_counts_handle_reductions():
+    # three handles of indices 1, 3, 5 that no reduction touches but its own
+    w = parse_word("s1 s2 s1^-1 s3 s4 s3^-1 s5 s6 s5^-1", 7)
+    for cap in (0, 1, 2):
+        with pytest.raises(StepLimitError):
+            handle_reduce(w, step_cap=cap)
+    assert handle_reduce(w, step_cap=3) == parse_word(
+        "s2^-1 s1 s2 s4^-1 s3 s4 s6^-1 s5 s6", 7)
+    argv = ["reduce", "--oracle", "dehornoy", str(w), "-n", "7", "--step-cap"]
+    assert run_command(argv + ["2"])[0] == 3
+    assert run_command(argv + ["3"])[:2] == (0, b"positive\n")
