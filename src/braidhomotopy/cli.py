@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import BinaryIO
 
 from braidhomotopy import extension as ext
 from braidhomotopy import handles, magnus, presentations as pres, verify
@@ -67,7 +68,8 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("reduce", help="reduce words / decide triviality")
-    p.add_argument("words", nargs="*", help="words in the token grammar")
+    p.add_argument("words", nargs="*", help="words in the token grammar; without words "
+                                             "or --input, stdin is read, one per line")
     p.add_argument("--oracle", choices=["free", "dehornoy", "magnus"], default="free")
     p.add_argument("--compare", action="store_true",
                    help="compare two crossing words in the left order")
@@ -178,13 +180,14 @@ def _cmd_verify(args, out, err) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_reduce(args, out, err, stdin_text: str) -> int:
+def _cmd_reduce(args, out, err, stdin: bytes | BinaryIO) -> int:
     texts = list(args.words)
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             texts += [line for line in fh.read().splitlines() if line.strip()]
-    if not texts and stdin_text:
-        texts = [line for line in stdin_text.splitlines() if line.strip()]
+    elif not texts:
+        data = stdin if isinstance(stdin, bytes) else stdin.read()
+        texts = [line for line in data.decode("utf-8").splitlines() if line.strip()]
     _require(bool(texts), "no input words")
     words = [parse_word(t, args.n, args.g) for t in texts]
     if args.compare:
@@ -220,7 +223,7 @@ def _cmd_tc(args, out, err) -> int:
         with open(args.table_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(table.to_csv())
     if table.status == "overflow":
-        err.write(f"overflow after {args.max_cosets} cosets\n")
+        err.write(f"overflow after {args.max_cosets} cosets ({table.coset_count} live)\n")
         return 3
     out.write(f"{table.coset_count}\n")
     return 0
@@ -238,8 +241,12 @@ def _cmd_h1(args, out, err) -> int:
     return 0
 
 
-def run_command(argv: list[str], stdin: bytes = b"") -> tuple[int, bytes, bytes]:
-    """Run one CLI invocation; returns (exit code, stdout, stderr)."""
+def run_command(argv: list[str], stdin: bytes | BinaryIO = b"") -> tuple[int, bytes, bytes]:
+    """Run one CLI invocation; returns (exit code, stdout, stderr).
+
+    ``stdin`` is the input bytes or a binary stream; a stream is read only
+    by ``reduce`` with neither words nor ``--input``.
+    """
     import io
 
     out, err = io.StringIO(), io.StringIO()
@@ -253,7 +260,7 @@ def run_command(argv: list[str], stdin: bytes = b"") -> tuple[int, bytes, bytes]
         elif args.command == "verify":
             code = _cmd_verify(args, out, err)
         elif args.command == "reduce":
-            code = _cmd_reduce(args, out, err, stdin.decode("utf-8"))
+            code = _cmd_reduce(args, out, err, stdin)
         elif args.command == "tc":
             code = _cmd_tc(args, out, err)
         else:
@@ -284,13 +291,10 @@ def run_command(argv: list[str], stdin: bytes = b"") -> tuple[int, bytes, bytes]
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    stdin = b""
-    if argv and argv[0] == "reduce":
-        try:
-            if not sys.stdin.isatty():
-                stdin = sys.stdin.buffer.read()
-        except (OSError, ValueError):
-            stdin = b""
+    try:
+        stdin = b"" if sys.stdin is None or sys.stdin.isatty() else sys.stdin.buffer
+    except (OSError, ValueError):
+        stdin = b""
     code, out, err = run_command(argv, stdin)
     sys.stdout.buffer.write(out)
     sys.stderr.buffer.write(err)

@@ -9,6 +9,10 @@ conjugation relator per lifted-generator/kernel-generator pair
 quotient ships as a built-in constructor whose conjugation words are
 derived from the defining rewrite rules; every band-conjugation formula
 is certified against handle reduction in the test suite.
+
+Coset enumeration is Hazelrigg-Leech-Todd with a backward scan: cosets
+are defined only inside the gap a relator's forward and backward scans
+leave, and the gap's last letter is deduced (see ``todd_coxeter``).
 """
 
 from __future__ import annotations
@@ -288,31 +292,21 @@ class CosetTable:
         return "\n".join(lines) + "\n"
 
     def validate(self, relators: Sequence[list[int]], subgroup: Sequence[list[int]]) -> bool:
-        """Consistency: total action, relators trace home, subgroup fixes 1."""
-        if self.status != "closed":
+        """Consistency: every column 2k + 1 undoes column 2k (so both are
+        permutations), relators trace home, subgroup words fix coset 1."""
+        rows, ncols = self.rows, 2 * len(self.generators)
+        if self.status != "closed" or any(
+                len(row) != ncols or not all(0 <= v < len(rows) for v in row) for row in rows):
             return False
-        ncols = 2 * len(self.generators)
-        for row in self.rows:
-            if len(row) != ncols or any(v == _UNDEF for v in row):
-                return False
-        for col in range(ncols):
-            images = [row[col] for row in self.rows]
-            if sorted(images) != list(range(len(self.rows))):
-                return False
-        for word in relators:
-            for start in range(len(self.rows)):
-                c = start
-                for col in word:
-                    c = self.rows[c][col]
-                if c != start:
-                    return False
-        for word in subgroup:
-            c = 0
+
+        def trace(c: int, word: list[int]) -> int:
             for col in word:
-                c = self.rows[c][col]
-            if c != 0:
-                return False
-        return True
+                c = rows[c][col]
+            return c
+        return (all(rows[row[col]][col + 1] == c
+                    for c, row in enumerate(rows) for col in range(0, ncols, 2))
+                and all(trace(c, word) == c for word in relators for c in range(len(rows)))
+                and all(trace(0, word) == 0 for word in subgroup))
 
 
 def word_to_columns(w: Word, generators: Sequence[Gen]) -> list[int]:
@@ -335,114 +329,118 @@ class _Overflow(Exception):
     pass
 
 
-class _Enumerator:
-    """Relator-tracing enumeration with union-find coincidence handling."""
-
-    def __init__(self, ncols: int, max_cosets: int):
-        self.ncols = ncols
-        self.max_cosets = max_cosets
-        self.neighbors: list[list[int]] = []
-        self.labels: list[int] = []
-        self.add_vertex()
-
-    def add_vertex(self) -> int:
-        if len(self.labels) >= self.max_cosets:
-            raise _Overflow
-        c = len(self.labels)
-        self.labels.append(c)
-        self.neighbors.append([_UNDEF] * self.ncols)
-        return c
-
-    def rep(self, c: int) -> int:
-        root = c
-        while self.labels[root] != root:
-            root = self.labels[root]
-        while self.labels[c] != root:
-            self.labels[c], c = root, self.labels[c]
-        return root
-
-    def follow(self, c: int, col: int) -> int:
-        c = self.rep(c)
-        if self.neighbors[c][col] == _UNDEF:
-            d = self.add_vertex()
-            self.neighbors[c][col] = d
-            self.neighbors[d][col ^ 1] = c
-        return self.rep(self.neighbors[c][col])
-
-    def follow_path(self, c: int, word: list[int]) -> int:
-        for col in word:
-            c = self.follow(c, col)
-        return c
-
-    def unify(self, c1: int, c2: int) -> None:
-        queue = [(c1, c2)]
-        while queue:
-            a, b = queue.pop()
-            a, b = self.rep(a), self.rep(b)
-            if a == b:
-                continue
-            a, b = min(a, b), max(a, b)
-            self.labels[b] = a
-            row_a, row_b = self.neighbors[a], self.neighbors[b]
-            for col in range(self.ncols):
-                nb = row_b[col]
-                if nb == _UNDEF:
-                    continue
-                if row_a[col] == _UNDEF:
-                    row_a[col] = nb
-                    nb_rep = self.rep(nb)
-                    back = self.neighbors[nb_rep][col ^ 1]
-                    if back == _UNDEF:
-                        self.neighbors[nb_rep][col ^ 1] = a
-                else:
-                    queue.append((row_a[col], nb))
-
-    def live(self) -> list[int]:
-        return [c for c in range(len(self.labels)) if self.labels[c] == c]
-
-
 def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
                  max_cosets: int = 100_000) -> CosetTable:
     """Enumerate cosets of the subgroup generated by the given words.
 
-    Relator families are materialized at their stored bounds first.  A
-    closed table witnesses the subgroup index as its coset count;
-    exceeding ``max_cosets`` is reported as status "overflow", not as an
-    error.
+    Hazelrigg-Leech-Todd with a backward scan: subgroup words are traced
+    from coset 1, then each live coset in order traces every relator and
+    fills its row.  A trace runs forward over the word and backward over
+    its inverse until each meets an undefined entry; cosets are defined
+    only inside the gap between the two, whose last letter is deduced.
+    Scans that meet unify their ends.  Relator families are materialized
+    at their stored bounds.  A closed table's coset count is the index
+    and its rows are the live cosets in order of definition;
+    ``max_cosets`` caps the cosets defined, live or dead, and exceeding
+    it gives status "overflow", not an error.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     gens = p.generators
+    ncols = 2 * len(gens)
     columns = _columns(gens)
     relators = [_word_columns(w, columns) for _, w in p.iter_relators()]
     subgroup_cols = [_word_columns(w, columns) for w in subgroup]
-    enum = _Enumerator(2 * len(gens), max_cosets)
+    # union-find over cosets (labels[c] == c iff c is live, else an older
+    # coset) and one row per coset, whose entries may name dead cosets
+    labels = [0]
+    table = [[_UNDEF] * ncols]
+
+    def rep(c: int) -> int:
+        while labels[c] != c:
+            labels[c] = c = labels[labels[c]]
+        return c
+
+    def unify(c1: int, c2: int) -> None:
+        queue = [(c1, c2)]
+        while queue:
+            a, b = queue.pop()
+            a = a if labels[a] == a else rep(a)
+            b = b if labels[b] == b else rep(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            labels[b] = a
+            row_a = table[a]
+            # entries are defined in inverse pairs, so nb's row already
+            # leads back into b's class, which is now a's
+            for col, nb in enumerate(table[b]):
+                if nb == _UNDEF:
+                    continue
+                if row_a[col] == _UNDEF:
+                    row_a[col] = nb
+                else:
+                    queue.append((row_a[col], nb))
+
+    def define(f: int, col: int) -> int:
+        d = len(labels)
+        if d >= max_cosets:
+            raise _Overflow
+        labels.append(d)
+        table.append([_UNDEF] * ncols)
+        table[f][col], table[d][col ^ 1] = d, f
+        return d
+
+    def scan_and_fill(c: int, word: list[int]) -> None:
+        f, i, b, j = c, 0, c, len(word) - 1
+        while i <= j and (x := table[f][word[i]]) != _UNDEF:
+            if labels[x] != x:
+                x = table[f][word[i]] = rep(x)
+            f, i = x, i + 1
+        while j >= i and (x := table[b][word[j] ^ 1]) != _UNDEF:
+            if labels[x] != x:
+                x = table[b][word[j] ^ 1] = rep(x)
+            b, j = x, j - 1
+        if j < i:
+            if f != b:
+                unify(f, b)
+            return
+        while i < j:
+            f, i = define(f, word[i]), i + 1
+        table[f][word[j]] = b
+        back = table[b][word[j] ^ 1]
+        if back == _UNDEF:
+            table[b][word[j] ^ 1] = f
+        else:  # the gap's first definition filled it
+            unify(back, f)
+
     status = "closed"
     try:
         for word in subgroup_cols:
-            enum.unify(enum.follow_path(0, word), 0)
-        visit = 0
-        while visit < len(enum.labels):
-            if enum.labels[visit] == visit:
+            scan_and_fill(0, word)
+        c = 0
+        while c < len(labels):
+            if labels[c] == c:
                 for rel in relators:
-                    enum.unify(enum.follow_path(visit, rel), visit)
-                    if enum.labels[visit] != visit:
+                    scan_and_fill(c, rel)
+                    if labels[c] != c:
                         break
-                if enum.labels[visit] == visit:
-                    for col in range(enum.ncols):
-                        enum.follow(visit, col)
-            visit += 1
+                else:
+                    for col in range(ncols):
+                        if table[c][col] == _UNDEF:
+                            define(c, col)
+            c += 1
     except _Overflow:
         status = "overflow"
-    live = enum.live()
-    renumber = {c: i for i, c in enumerate(live)}
-    rows = []
-    for c in live:
-        row = []
-        for v in enum.neighbors[c]:
-            row.append(renumber[enum.rep(v)] if v != _UNDEF else _UNDEF)
-        rows.append(row)
-    return CosetTable(tuple(gens), rows, status)
+    # a dead coset's label is older, so its row number is already known
+    number, live = [], []
+    for c, label in enumerate(labels):
+        number.append(len(live) if label == c else number[label])
+        if label == c:
+            live.append(c)
+    number.append(_UNDEF)  # number[_UNDEF] is _UNDEF
+    return CosetTable(tuple(gens), [[number[v] for v in table[c]] for c in live], status)
 
 
 # ---------------------------------------------------------------------------

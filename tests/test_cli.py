@@ -1,4 +1,9 @@
 import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 from braidhomotopy.cli import run_command
 from braidhomotopy.presentations import presentation_from_json, presentation_to_json
@@ -159,3 +164,25 @@ def test_pres_with_auxiliary_generators():
     assert "t1.3" in doc["generators"] and "a3.2" in doc["generators"]
     labels = {entry["label"].split("[")[0] for entry in doc["relators"]}
     assert {"R7", "R8", "R9"} <= labels
+
+
+def test_tc_overflow_reports_live_cosets():
+    code, out, err = run(["tc", "--family", "surface", "-n", "2", "-g", "1",
+                          "--max-cosets", "500"])
+    match = re.fullmatch(r"overflow after 500 cosets \((\d+) live\)\n", err)
+    assert code == 3 and out == "" and match and 1 <= int(match.group(1)) <= 500
+
+
+def test_reduce_with_words_does_not_wait_for_stdin():
+    import braidhomotopy
+
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(braidhomotopy.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "braidhomotopy", "reduce", "s1", "-n", "2"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+    try:
+        code = proc.wait(timeout=10)
+        assert (code, proc.stdout.read()) == (0, b"s1\n")
+    finally:
+        proc.kill()
+        proc.stdin.close()
+        proc.stdout.close()

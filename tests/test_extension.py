@@ -1,9 +1,11 @@
 import json
 import math
+import random
 
 import pytest
 
 from braidhomotopy.extension import (
+    CosetTable,
     ExtensionData,
     IncompleteDataError,
     TietzeError,
@@ -21,12 +23,13 @@ from braidhomotopy.extension import (
     word_to_columns,
 )
 from braidhomotopy.handles import is_trivial_braid
-from braidhomotopy.perms import is_pure
+from braidhomotopy.perms import generated_permutations, is_pure, transposition, word_permutation
 from braidhomotopy.presentations import (
     Presentation,
     expand_a,
     expand_t,
     homotopy_generalized_presentation,
+    homotopy_quotient,
     surface_braid_presentation,
     symmetric_presentation,
 )
@@ -301,3 +304,62 @@ _GOOD_EXTENSION = json.loads(extension_data_to_json(braid_extension_data(2, 1, T
 def test_malformed_extension_json_raises_value_error(doc):
     with pytest.raises(ValueError):
         extension_data_from_json(json.dumps(doc))
+
+
+# --- coset tables against independent oracles ---------------------------------
+
+def test_validate_rejects_a_wrong_inverse_column():
+    # Z/3 = <x | x^3>: the x column is the 3-cycle, the x^-1 column is the
+    # same 3-cycle instead of its inverse; both are bijections
+    x = atom("x")
+    rows = [[1, 1], [2, 2], [0, 0]]
+    assert not CosetTable((x,), rows, "closed").validate([[0, 0, 0]], [])
+    rows = [[1, 2], [2, 0], [0, 1]]
+    assert CosetTable((x,), rows, "closed").validate([[0, 0, 0]], [])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_tc_index_matches_permutation_group_order(n, seed):
+    rnd = random.Random(1000 * n + seed)
+    p = symmetric_presentation(n)
+    images = {gen: transposition(n, i + 1) for i, gen in enumerate(p.generators)}
+    words = []
+    for _ in range(rnd.randint(1, 3)):
+        letters = [(rnd.choice(p.generators), rnd.choice((1, -1)))
+                   for _ in range(rnd.randint(1, 6))]
+        words.append(Word(letters))
+    order = len(generated_permutations(word_permutation(w, n, images) for w in words))
+    table = todd_coxeter(p, words)
+    assert table.status == "closed"
+    assert table.coset_count == math.factorial(n) // order
+    cols = [word_to_columns(w, p.generators) for w in words]
+    assert table.validate([word_to_columns(w, p.generators) for w in p.relators], cols)
+
+
+def _pure_presentations():
+    for n in (2, 3, 4):
+        for g in (1, 2):
+            yield f"surface-{n}-{g}", surface_braid_presentation(n, g)
+            for bound in (0, 1, 2):
+                for closed in (True, False):
+                    yield (f"homotopy-{n}-{g}-{closed}-{bound}",
+                           homotopy_generalized_presentation(n, g, closed, bound))
+                yield (f"quotient-{n}-{g}-{bound}",
+                       homotopy_quotient(surface_braid_presentation(n, g), bound))
+
+
+@pytest.mark.parametrize("p", [pytest.param(p, id=name) for name, p in _pure_presentations()])
+def test_tc_pure_subgroup_tables_validate(p):
+    n, g = p.n, p.g
+    sub = [expand_a(i, r, n, g) for i in range(1, n + 1) for r in range(1, 2 * g + 1)]
+    sub += [expand_t(i, j, n, g) for i in range(1, n) for j in range(i + 1, n + 1)]
+    table = todd_coxeter(p, sub)
+    assert table.status == "closed" and table.coset_count == math.factorial(n)
+    rels = [word_to_columns(w, p.generators) for _, w in p.iter_relators()]
+    assert table.validate(rels, [word_to_columns(w, p.generators) for w in sub])
+
+
+def test_tc_symmetric_8_closes_under_the_default_cap():
+    table = todd_coxeter(symmetric_presentation(8), [])
+    assert table.status == "closed" and table.coset_count == math.factorial(8)
