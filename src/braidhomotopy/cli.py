@@ -173,7 +173,7 @@ def _cmd_verify(args, out, err) -> int:
     else:
         _require(args.n is not None, "identity checks need -n")
         kind = {"eq31": "eq31", "eq32": "eq32", "transport": "lh_free_identity"}[args.check]
-        report = verify.identity_check(kind, args.n, args.g if args.g else 1,
+        report = verify.identity_check(kind, args.n, 1 if args.g is None else args.g,
                                        args.lh_bound if args.lh_bound is not None else 3,
                                        fault=args.inject_fault)
     out.write(report.to_json() if args.format == "json" else report.to_text())

@@ -16,6 +16,18 @@ Derived-symbol expansions follow the defining rewrite rules verbatim:
 
 Conventions: conjugation is h * t * h^-1, and emitted family relators
 skip instances that freely reduce to the empty word.
+
+Each relation is stated once, by shared builders:
+
+    _rel                lhs = rhs as the relator lhs * rhs^-1
+    _braid_relations    R1/R2, and SR1/SR2 of the symmetric group
+    _surface_relations  R1-R6; with g = 0, punctured, it gives Goldsmith's R1/R2
+    _loops              a run a_{i,r}^e of loop letters (R3, R5, A-words, PR1, PR3, PR7, PR8)
+    _pairs              the strand pairs i < j (band generators, R9, PR2-PR7)
+    _presentation       the one constructor behind every family and the JSON reader
+
+A truncation bound is checked where it is stored, in
+``RelatorFamily.__post_init__`` and ``Presentation.__post_init__``.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
 from braidhomotopy.words import (
@@ -36,6 +49,7 @@ from braidhomotopy.words import (
     commutator,
     concat,
     concat_all,
+    conjugate,
     enumerate_shortlex,
     format_word,
     gen_word,
@@ -85,24 +99,22 @@ def expand_T_cap(i: int, j: int, n: int, g: int) -> Word:
     return Word(tuple((band(i, k), 1) for k in range(j, i, -1)), (n, g))
 
 
+def _loops(i: int, rs, e: int, n: int, g: int) -> Word:
+    """The run a_{i,r}^e for r in ``rs``, in that order."""
+    return Word(tuple((loop(i, r), e) for r in rs), (n, g))
+
+
 def expand_A_pure(j: int, s: int, n: int, g: int) -> Word:
     """Loop-alphabet word a_{j,1}..a_{j,s-1} a_{j,s+1}^-1..a_{j,2g}^-1."""
     if not (1 <= j <= n and 1 <= s <= 2 * g - 1):
         raise AlphabetError(f"expand_A_pure indices out of range: ({j}, {s})")
-    letters = [(loop(j, m), 1) for m in range(1, s)]
-    letters += [(loop(j, m), -1) for m in range(s + 1, 2 * g + 1)]
-    return Word(tuple(letters), (n, g))
+    return concat(_loops(j, range(1, s), 1, n, g), _loops(j, range(s + 1, 2 * g + 1), -1, n, g))
 
 
 def expand_A_geo(s: int, n: int, g: int) -> Word:
-    """Crossing-sandwiched variant s_1^-1 (a_{1,1}..a_{1,s-1} a_{1,s+1}^-1..) s_1^-1."""
-    if n < 2:
-        raise AlphabetError("expand_A_geo needs n >= 2 (it contains s1)")
-    if not 1 <= s <= 2 * g - 1:
-        raise AlphabetError(f"expand_A_geo needs 1 <= s <= 2g-1, got s={s}, g={g}")
-    inner = [(loop(1, m), 1) for m in range(1, s)]
-    inner += [(loop(1, m), -1) for m in range(s + 1, 2 * g + 1)]
-    return Word(((sigma(1), -1), *inner, (sigma(1), -1)), (n, g))
+    """Crossing-sandwiched variant s_1^-1 expand_A_pure(1, s) s_1^-1 (needs n >= 2)."""
+    s1_inv = gen_word(sigma(1), n, g, e=-1)
+    return concat_all([s1_inv, expand_A_pure(1, s, n, g), s1_inv])
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +151,7 @@ class RelatorFamily:
     def __post_init__(self):
         if self.kind not in ("LH", "HN", "LH1"):
             raise ValueError(f"unknown relator family kind {self.kind!r}")
+        _check_bound(self.bound)
 
     def strand_basis(self, i: int) -> tuple[Gen, ...]:
         loops = tuple(loop(i, r) for r in range(1, 2 * self.g + 1))
@@ -159,15 +172,14 @@ class RelatorFamily:
 
     def instances(self, bound: int | None = None) -> Iterator[tuple[str, Word]]:
         """Yield (label, relator) pairs, skipping freely trivial instances."""
-        if bound is None:
-            bound = self.bound
+        bound = self.bound if bound is None else bound
         if bound < 0:
             raise ValueError(f"truncation bound must be >= 0, got {bound}")
         n, g = self.n, self.g
         ctx = (n, g)
         strands = range(1, n) if self.kind == "HN" else [self.strand]
         for i in strands:
-            conjugators = self._conjugators(i, bound)
+            conjugators = self.conjugators(i, bound)
             for j in range(i + 1, n + 1):
                 if self.kind == "LH1":
                     t = gen_word(band(i, j), n, g).codes
@@ -184,9 +196,12 @@ class RelatorFamily:
                     if rel:
                         yield head + tag + "]", Word.from_codes(rel, ctx)
 
-    def _conjugators(self, i: int, bound: int) -> list[tuple[str, tuple, tuple]]:
-        """(label tag, expansion, inverse) per h; each extends its parent prefix's."""
+    def conjugators(self, i: int, bound: int | None = None) -> list[tuple[str, tuple, tuple]]:
+        """(label tag, expansion codes, inverse codes) per conjugator h of strand i,
+        in stream order up to ``bound`` (default: the family's); each
+        expansion extends its parent prefix's."""
         n, g = self.n, self.g
+        bound = self.bound if bound is None else bound
         basis = self.strand_basis(i)
         image = {}
         for gen in basis:
@@ -201,6 +216,11 @@ class RelatorFamily:
             hw = expansion[h.codes]
             out.append((format_word(h).replace(" ", ",") or "1", hw, inverse_codes(hw)))
         return out
+
+
+def _check_bound(bound: int) -> None:
+    if bound < 0:
+        raise ValueError(f"lh_bound must be >= 0, got {bound}")
 
 
 def expand_gen(gen: Gen, n: int, g: int) -> Word:
@@ -232,6 +252,8 @@ class Presentation:
     def __post_init__(self):
         if len(self.relators) != len(self.labels):
             raise ValueError("relators and labels must align")
+        if self.lh_bound is not None:
+            _check_bound(self.lh_bound)  # pure with n = 1 has a bound but no family
         letters = {code(gen) for gen in self.generators}
         letters.update([-c for c in letters])
         for label, rel in zip(self.labels, self.relators):
@@ -274,52 +296,56 @@ def _check_surface_params(n: int, g: int) -> None:
             f"need genus g >= 1, got {g}; the disk case lives in goldsmith_presentation")
 
 
-def _sigma_gens(n: int) -> list[Gen]:
-    return [sigma(i) for i in range(1, n)]
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """Strand pairs (i, j), 1 <= i < j <= n, in lexicographic order."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def _r1_r2(n: int, g: int) -> list[tuple[str, Word]]:
-    rels = []
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            w = commutator(gen_word(sigma(i), n, g), gen_word(sigma(j), n, g))
-            rels.append((f"R1[i={i},j={j}]", w))
-    for i in range(1, n - 1):
-        lhs = Word(((sigma(i), 1), (sigma(i + 1), 1), (sigma(i), 1)), (n, g))
-        rhs = Word(((sigma(i + 1), 1), (sigma(i), 1), (sigma(i + 1), 1)), (n, g))
-        rels.append((f"R2[i={i}]", concat(lhs, invert(rhs))))
+def _rel(lhs: Word, rhs: Word) -> Word:
+    """The relation lhs = rhs as the relator lhs * rhs^-1."""
+    return concat(lhs, invert(rhs))
+
+
+def _presentation(family: str, n: int, g: int, closed: bool | None, lh_bound: int | None,
+                  gens, rels: list[tuple[str, Word]], families=()) -> Presentation:
+    """A presentation from its generators and (label, relator) pairs."""
+    return Presentation(family, n, g, closed, lh_bound, tuple(gens),
+                        tuple(w for _, w in rels), tuple(l for l, _ in rels), tuple(families))
+
+
+def _braid_relations(x: list[Word], tag: str) -> list[tuple[str, Word]]:
+    """Far commutation ({tag}1) and the braid relation ({tag}2) among x[0], x[1], .."""
+    m = len(x) + 1
+    rels = [(f"{tag}1[i={i},j={j}]", commutator(x[i - 1], x[j - 1]))
+            for i in range(1, m) for j in range(i + 2, m)]
+    rels += [(f"{tag}2[i={i}]", _rel(concat_all([x[i - 1], x[i], x[i - 1]]),
+                                     concat_all([x[i], x[i - 1], x[i]])))
+             for i in range(1, m - 1)]
     return rels
 
 
-def _r3_word(n: int, g: int) -> Word:
-    lhs = [(loop(1, r), 1) for r in range(1, 2 * g + 1)]
-    lhs += [(loop(1, r), -1) for r in range(1, 2 * g + 1)]
-    # crossing side is the all-positive palindrome, not a band generator
-    rhs = [(sigma(k), 1) for k in range(1, n - 1)]
-    rhs += [(sigma(n - 1), 1), (sigma(n - 1), 1)] if n >= 2 else []
-    rhs += [(sigma(k), 1) for k in range(n - 2, 0, -1)]
-    return concat(Word(tuple(lhs), (n, g)), invert(Word(tuple(rhs), (n, g))))
+def _surface_relations(n: int, g: int, closed: bool) -> list[tuple[str, Word]]:
+    """R1-R6 of the genus-g surface braid group on n strands; R3 only when closed.
 
-
-def _r4_r5_r6(n: int, g: int) -> list[tuple[str, Word]]:
-    rels = []
+    For g = 0 only R1/R2 remain when punctured: the braid group of the disk.
+    """
+    run = range(1, 2 * g + 1)
+    x = [gen_word(sigma(i), n, g) for i in range(1, n)]
+    a = [gen_word(loop(1, r), n, g) for r in run]
+    rels = _braid_relations(x, "R")
+    if closed:
+        # crossing side is the all-positive palindrome, not a band generator
+        rels.append(("R3", _rel(concat(_loops(1, run, 1, n, g), _loops(1, run, -1, n, g)),
+                                concat_all(x + x[::-1]))))
     if n >= 2:
-        for r in range(1, 2 * g + 1):
-            for s in range(1, 2 * g):
-                if r == s:
-                    continue
-                w = commutator(gen_word(loop(1, r), n, g), expand_A_geo(s, n, g))
-                rels.append((f"R4[r={r},s={s}]", w))
+        rels += [(f"R4[r={r},s={s}]", commutator(a[r - 1], expand_A_geo(s, n, g)))
+                 for r in run for s in range(1, 2 * g) if r != s]
         for r in range(1, 2 * g):
-            prefix = Word(tuple((loop(1, m), 1) for m in range(1, r + 1)), (n, g))
-            A = expand_A_geo(r, n, g)
-            lhs = concat(prefix, A)
-            rhs = concat_all([gen_word(sigma(1), n, g, e=2), A, prefix])
-            rels.append((f"R5[r={r}]", concat(lhs, invert(rhs))))
-    for r in range(1, 2 * g + 1):
-        for i in range(2, n):
-            w = commutator(gen_word(loop(1, r), n, g), gen_word(sigma(i), n, g))
-            rels.append((f"R6[r={r},i={i}]", w))
+            prefix, A = _loops(1, range(1, r + 1), 1, n, g), expand_A_geo(r, n, g)
+            rels.append((f"R5[r={r}]", _rel(concat(prefix, A),
+                                            concat_all([x[0], x[0], A, prefix]))))
+    rels += [(f"R6[r={r},i={i}]", commutator(a[r - 1], x[i - 1]))
+             for r in run for i in range(2, n)]
     return rels
 
 
@@ -331,12 +357,8 @@ def surface_braid_presentation(n: int, g: int) -> Presentation:
     vacuous.
     """
     _check_surface_params(n, g)
-    rels = _r1_r2(n, g)
-    rels.append(("R3", _r3_word(n, g)))
-    rels.extend(_r4_r5_r6(n, g))
-    gens = _sigma_gens(n) + [loop(1, r) for r in range(1, 2 * g + 1)]
-    return Presentation("surface", n, g, True, None, tuple(gens),
-                        tuple(w for _, w in rels), tuple(l for l, _ in rels))
+    gens = [sigma(i) for i in range(1, n)] + [loop(1, r) for r in range(1, 2 * g + 1)]
+    return _presentation("surface", n, g, True, None, gens, _surface_relations(n, g, True))
 
 
 def homotopy_generalized_presentation(n: int, g: int, closed: bool, lh_bound: int,
@@ -353,49 +375,36 @@ def homotopy_generalized_presentation(n: int, g: int, closed: bool, lh_bound: in
     phrased over band letters directly.
     """
     _check_surface_params(n, g)
-    if lh_bound < 0:
-        raise ValueError(f"lh_bound must be >= 0, got {lh_bound}")
-    rels = _r1_r2(n, g)
-    if closed:
-        rels.append(("R3", _r3_word(n, g)))
-    rels.extend(_r4_r5_r6(n, g))
-    gens = [loop(1, r) for r in range(1, 2 * g + 1)] + _sigma_gens(n)
+    rels = _surface_relations(n, g, closed)
+    gens = [loop(1, r) for r in range(1, 2 * g + 1)] + [sigma(i) for i in range(1, n)]
     if not with_auxiliary:
-        fam = RelatorFamily("LH", n, g, 1, lh_bound)
-        return Presentation("homotopy", n, g, closed, lh_bound, tuple(gens),
-                            tuple(w for _, w in rels), tuple(l for l, _ in rels), (fam,))
+        return _presentation("homotopy", n, g, closed, lh_bound, gens, rels,
+                             [RelatorFamily("LH", n, g, 1, lh_bound)])
     gens += [loop(i, r) for i in range(2, n + 1) for r in range(1, 2 * g + 1)]
-    gens += [band(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    gens += [band(i, j) for i, j in _pairs(n)]
     for j in range(1, n):
         for r in range(1, 2 * g + 1):
             s = gen_word(sigma(j), n, g, e=1 if r % 2 == 0 else -1)
             rhs = concat_all([s, gen_word(loop(j, r), n, g), s])
             label = "R7" if r % 2 == 0 else "R8"
-            rels.append((f"{label}[j={j},r={r}]",
-                         concat(gen_word(loop(j + 1, r), n, g), invert(rhs))))
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            rels.append((f"R9[i={i},j={j}]",
-                         concat(gen_word(band(i, j), n, g), invert(expand_t(i, j, n, g)))))
-    fam = RelatorFamily("LH1", n, g, 1, lh_bound)
-    return Presentation("homotopy-aux", n, g, closed, lh_bound, tuple(gens),
-                        tuple(w for _, w in rels), tuple(l for l, _ in rels), (fam,))
+            rels.append((f"{label}[j={j},r={r}]", _rel(gen_word(loop(j + 1, r), n, g), rhs)))
+    rels += [(f"R9[i={i},j={j}]", _rel(gen_word(band(i, j), n, g), expand_t(i, j, n, g)))
+             for i, j in _pairs(n)]
+    return _presentation("homotopy-aux", n, g, closed, lh_bound, gens, rels,
+                         [RelatorFamily("LH1", n, g, 1, lh_bound)])
 
 
 def goldsmith_presentation(n: int, lh_bound: int) -> Presentation:
     """Link-homotopy quotient of the classical braid group (the disk case).
 
     Generators are the crossings alone; the finite relations are R1-R2
-    and the LH family runs over the band basis t_{1,2}, .., t_{1,n}.
+    (the punctured genus-0 surface relations) and the LH family runs over
+    the band basis t_{1,2}, .., t_{1,n}.
     """
     if n < 2:
         raise ValueError(f"goldsmith_presentation needs n >= 2, got {n}")
-    if lh_bound < 0:
-        raise ValueError(f"lh_bound must be >= 0, got {lh_bound}")
-    rels = _r1_r2(n, 0)
-    fam = RelatorFamily("LH", n, 0, 1, lh_bound)
-    return Presentation("goldsmith", n, 0, None, lh_bound, tuple(_sigma_gens(n)),
-                        tuple(w for _, w in rels), tuple(l for l, _ in rels), (fam,))
+    return _presentation("goldsmith", n, 0, None, lh_bound, [sigma(i) for i in range(1, n)],
+                         _surface_relations(n, 0, False), [RelatorFamily("LH", n, 0, 1, lh_bound)])
 
 
 def pure_homotopy_presentation(n: int, g: int, closed: bool, lh_bound: int) -> Presentation:
@@ -405,10 +414,9 @@ def pure_homotopy_presentation(n: int, g: int, closed: bool, lh_bound: int) -> P
     are phrased over the loop/band generator alphabet directly.
     """
     _check_surface_params(n, g)
-    if lh_bound < 0:
-        raise ValueError(f"lh_bound must be >= 0, got {lh_bound}")
-    ctx = (n, g)
     two_g = 2 * g
+    up, down = range(1, two_g + 1), range(two_g, 0, -1)
+    pairs = _pairs(n)
 
     def T(i, j):
         return expand_T_cap(i, j, n, g)
@@ -416,79 +424,43 @@ def pure_homotopy_presentation(n: int, g: int, closed: bool, lh_bound: int) -> P
     def A(j, s):
         return expand_A_pure(j, s, n, g)
 
-    def aw(i, r, e=1):
-        return gen_word(loop(i, r), n, g, e=e)
+    def aw(i, r):
+        return gen_word(loop(i, r), n, g)
 
     rels: list[tuple[str, Word]] = []
     if closed:
-        lhs = [(loop(n, r), -1) for r in range(1, two_g + 1)]
-        lhs += [(loop(n, r), 1) for r in range(1, two_g + 1)]
-        rhs = concat_all([concat(invert(T(i, n - 1)), T(i, n)) for i in range(1, n)]) \
-            if n >= 2 else Word((), ctx)
-        rels.append(("PR1", concat(Word(tuple(lhs), ctx), invert(rhs))))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for r in range(1, two_g + 1):
-                for s in range(1, two_g):
-                    if r == s:
-                        continue
-                    rels.append((f"PR2[i={i},j={j},r={r},s={s}]",
-                                 commutator(aw(i, r), A(j, s))))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for r in range(1, two_g):
-                prefix = Word(tuple((loop(i, m), 1) for m in range(1, r + 1)), ctx)
-                lhs = concat_all([prefix, A(j, r), invert(prefix), invert(A(j, r))])
-                rhs = concat(T(i, j), invert(T(i, j - 1)))
-                rels.append((f"PR3[i={i},j={j},r={r}]", concat(lhs, invert(rhs))))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(k + 1, n + 1):
-                    if (i < j < k < l) or (i < k < l <= j):
-                        rels.append((f"PR4[i={i},j={j},k={k},l={l}]",
-                                     commutator(T(i, j), T(k, l))))
-    for i in range(1, n + 1):
-        for k in range(i + 1, n + 1):
-            for j in range(k, n + 1):
-                for l in range(j + 1, n + 1):
-                    lhs = concat_all([T(k, l), T(i, j), invert(T(k, l))])
-                    rhs = concat_all([
-                        T(i, k - 1), invert(T(i, k)), T(i, j), invert(T(i, l)),
-                        T(i, k), invert(T(i, k - 1)), T(i, l)])
-                    rels.append((f"PR5[i={i},j={j},k={k},l={l}]", concat(lhs, invert(rhs))))
-    for r in range(1, two_g + 1):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(j + 1, n + 1):
-                    if (i < j < k) or (j < k < i):
-                        rels.append((f"PR6[i={i},j={j},k={k},r={r}]",
-                                     commutator(aw(i, r), T(j, k))))
-    for j in range(1, n + 1):
-        for i in range(j + 1, n + 1):
-            for k in range(i, n + 1):
-                desc_inv = Word(tuple((loop(j, m), -1) for m in range(two_g, 0, -1)), ctx)
-                desc_pos = Word(tuple((loop(j, m), 1) for m in range(two_g, 0, -1)), ctx)
-                C = concat_all([desc_inv, T(j, k), desc_pos])
-                for r in range(1, two_g + 1):
-                    rels.append((f"PR7[j={j},i={i},k={k},r={r}]",
-                                 commutator(aw(i, r), C)))
+        rels.append(("PR1", _rel(concat(_loops(n, up, -1, n, g), _loops(n, up, 1, n, g)),
+                                 concat_all([concat(invert(T(i, n - 1)), T(i, n))
+                                             for i in range(1, n)]))))
+    rels += [(f"PR2[i={i},j={j},r={r},s={s}]", commutator(aw(i, r), A(j, s)))
+             for i, j in pairs for r in up for s in range(1, two_g) if r != s]
+    rels += [(f"PR3[i={i},j={j},r={r}]",
+              _rel(commutator(_loops(i, range(1, r + 1), 1, n, g), A(j, r)),
+                   concat(T(i, j), invert(T(i, j - 1)))))
+             for i, j in pairs for r in range(1, two_g)]
+    # i < j < k < l, or i < k < l <= j
+    rels += [(f"PR4[i={i},j={j},k={k},l={l}]", commutator(T(i, j), T(k, l)))
+             for (i, j), (k, l) in product(pairs, pairs) if j < k or (i < k and l <= j)]
+    rels += [(f"PR5[i={i},j={j},k={k},l={l}]",
+              _rel(conjugate(T(i, j), T(k, l)),
+                   concat_all([T(i, k - 1), invert(T(i, k)), T(i, j), invert(T(i, l)),
+                               T(i, k), invert(T(i, k - 1)), T(i, l)])))
+             for (i, k), (j, l) in product(pairs, pairs) if k <= j]
+    rels += [(f"PR6[i={i},j={j},k={k},r={r}]", commutator(aw(i, r), T(j, k)))
+             for r in up for i in range(1, n + 1) for j, k in pairs if i < j or k < i]
+    for j, i in pairs:
+        for k in range(i, n + 1):
+            C = concat_all([_loops(j, down, -1, n, g), T(j, k), _loops(j, down, 1, n, g)])
+            rels += [(f"PR7[j={j},i={i},k={k},r={r}]", commutator(aw(i, r), C)) for r in up]
     for j in range(1, n):
-        factors = []
-        for i in range(1, j):
-            desc_inv = Word(tuple((loop(i, m), -1) for m in range(two_g, 0, -1)), ctx)
-            asc_pos = Word(tuple((loop(i, m), 1) for m in range(1, two_g + 1)), ctx)
-            factors.append(concat_all([desc_inv, T(i, j - 1), invert(T(i, j)), asc_pos]))
-        tail = [(loop(j, m), 1) for m in range(1, two_g + 1)]
-        tail += [(loop(j, m), -1) for m in range(1, two_g + 1)]
-        rhs = concat(concat_all(factors) if factors else Word((), ctx), Word(tuple(tail), ctx))
-        rels.append((f"PR8[j={j}]", concat(T(j, n), invert(rhs))))
+        factors = [concat_all([_loops(i, down, -1, n, g), T(i, j - 1), invert(T(i, j)),
+                               _loops(i, up, 1, n, g)]) for i in range(1, j)]
+        tail = concat(_loops(j, up, 1, n, g), _loops(j, up, -1, n, g))
+        rels.append((f"PR8[j={j}]", _rel(T(j, n), concat_all(factors + [tail]))))
 
-    gens = [loop(i, r) for i in range(1, n + 1) for r in range(1, two_g + 1)]
-    gens += [band(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
-    fams = tuple(RelatorFamily("LH1", n, g, i, lh_bound) for i in range(1, n))
-    return Presentation("pure", n, g, closed, lh_bound, tuple(gens),
-                        tuple(w for _, w in rels), tuple(l for l, _ in rels), fams)
+    gens = [loop(i, r) for i in range(1, n + 1) for r in up] + [band(i, j) for i, j in pairs]
+    fams = [RelatorFamily("LH1", n, g, i, lh_bound) for i in range(1, n)]
+    return _presentation("pure", n, g, closed, lh_bound, gens, rels, fams)
 
 
 def symmetric_presentation(n: int) -> Presentation:
@@ -496,19 +468,9 @@ def symmetric_presentation(n: int) -> Presentation:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     d = [atom(f"d{i}") for i in range(1, n)]
-    rels: list[tuple[str, Word]] = []
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rels.append((f"SR1[i={i},j={j}]",
-                         commutator(gen_word(d[i - 1]), gen_word(d[j - 1]))))
-    for i in range(1, n - 1):
-        lhs = Word(((d[i - 1], 1), (d[i], 1), (d[i - 1], 1)))
-        rhs = Word(((d[i], 1), (d[i - 1], 1), (d[i], 1)))
-        rels.append((f"SR2[i={i}]", concat(lhs, invert(rhs))))
-    for i in range(1, n):
-        rels.append((f"SR3[i={i}]", Word(((d[i - 1], 1), (d[i - 1], 1)))))
-    return Presentation("symmetric", n, 0, None, None, tuple(d),
-                        tuple(w for _, w in rels), tuple(l for l, _ in rels))
+    rels = _braid_relations([gen_word(di) for di in d], "SR")
+    rels += [(f"SR3[i={i}]", gen_word(d[i - 1], e=2)) for i in range(1, n)]
+    return _presentation("symmetric", n, 0, None, None, d, rels)
 
 
 def homotopy_quotient(p: Presentation, lh_bound: int) -> Presentation:
@@ -517,22 +479,18 @@ def homotopy_quotient(p: Presentation, lh_bound: int) -> Presentation:
     lh_bound."""
     if p.family != "surface":
         raise ValueError(f"homotopy_quotient expects a surface presentation, got {p.family!r}")
-    if lh_bound < 0:
-        raise ValueError(f"lh_bound must be >= 0, got {lh_bound}")
     fam = RelatorFamily("HN", p.n, p.g, 0, lh_bound)
     return replace(p, family="quotient", lh_bound=lh_bound, families=p.families + (fam,))
 
 
 def lh_relators(n: int, g: int, lh_bound: int) -> Iterator[Word]:
     """Stream of emitted LH relators [t_{1,j}, t_{1,j}^h] in crossing/loop letters."""
-    fam = RelatorFamily("LH", n, g, 1, lh_bound)
-    return (rel for _, rel in fam.instances())
+    return (rel for _, rel in RelatorFamily("LH", n, g, 1, lh_bound).instances())
 
 
 def hn_generators(n: int, g: int, lh_bound: int) -> Iterator[Word]:
     """Stream of normal generators [t_{i,j}, t_{i,j}^h] over every strand i."""
-    fam = RelatorFamily("HN", n, g, 0, lh_bound)
-    return (rel for _, rel in fam.instances())
+    return (rel for _, rel in RelatorFamily("HN", n, g, 0, lh_bound).instances())
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +556,6 @@ def presentation_from_json(text: str) -> Presentation:
         check_gen(gen, n, g)
     rels = [_fields(entry, "label", "word") for entry in entries]
     fams = [_fields(fam, "kind", "strand", "bound") for fam in fams]
-    if any(bound < 0 for _, _, bound in fams):
-        raise ValueError("presentation JSON: family bounds must be >= 0")
-    return Presentation(family, n, g, closed, lh_bound, gens,
-                        tuple(parse_word(word, n, g) for _, word in rels),
-                        tuple(label for label, _ in rels),
-                        tuple(RelatorFamily(kind, n, g, i, bound) for kind, i, bound in fams))
+    return _presentation(family, n, g, closed, lh_bound, gens,
+                         [(label, parse_word(word, n, g)) for label, word in rels],
+                         [RelatorFamily(kind, n, g, i, bound) for kind, i, bound in fams])

@@ -33,9 +33,7 @@ from braidhomotopy.words import (
     atom,
     commutator,
     concat,
-    concat_all,
     conjugate,
-    enumerate_shortlex,
     format_word,
     gen_word,
     invert,
@@ -293,6 +291,10 @@ def identity_check(kind: str, n: int, g: int = 1, bound: int = 3,
     conjugator or a wrong-parity rewrite) so suites can prove the checks
     are not vacuous.
     """
+    if g < 0:
+        raise ValueError(f"identity checks need genus g >= 0, got {g}")
+    if kind in ("eq31", "eq32") and n < 2:
+        raise ValueError(f"{kind} needs n >= 2")
     if kind == "eq31":
         return _check_eq31(n, g, offset=1 if fault else 0)
     if kind == "eq32":
@@ -302,47 +304,40 @@ def identity_check(kind: str, n: int, g: int = 1, bound: int = 3,
     raise ValueError(f"unknown identity kind {kind!r}")
 
 
+def _free_equality(record_id: str, lhs: Word, rhs: Word) -> CheckRecord:
+    """Free-group equality lhs = rhs; the witness is lhs * rhs^-1 reduced."""
+    w = concat(lhs, invert(rhs))
+    return CheckRecord(record_id, "free", not w, format_word(w))
+
+
 def _check_eq31(n: int, g: int, offset: int = 0) -> Report:
-    if n < 2:
-        raise ValueError("eq31 needs n >= 2")
     records = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            alpha = _alpha(i, n, g, offset)
-            w = concat_all([alpha, expand_t(i, j, n, g), invert(alpha),
-                            invert(expand_t(1, j, n, g))])
-            free_ok = len(w) == 0
-            records.append(CheckRecord(f"eq31[i={i},j={j}]", "free", free_ok,
-                                       "" if free_ok else format_word(w)))
-            handle_ok = is_trivial_braid(w)
-            records.append(CheckRecord(f"eq31[i={i},j={j}]", "handle", handle_ok,
-                                       "" if handle_ok else format_word(w)))
+            rid, t1j = f"eq31[i={i},j={j}]", expand_t(1, j, n, g)
+            transported = conjugate(expand_t(i, j, n, g), _alpha(i, n, g, offset))
+            free = _free_equality(rid, transported, t1j)
+            ok = is_trivial_braid(concat(transported, invert(t1j)))
+            records += [free, CheckRecord(rid, "handle", ok, "" if ok else free.witness)]
     return Report.build(f"eq31 n={n}", records)
 
 
 def _check_eq32(n: int, g: int, bound: int, fault: bool = False) -> Report:
-    if n < 2:
-        raise ValueError("eq32 needs n >= 2")
-    x = atom("x")
-    basis = RelatorFamily("LH", n, g, 1, bound).strand_basis(1)
+    x = gen_word(atom("x"))
+    hs = RelatorFamily("LH", n, g, 1, bound).conjugators(1)
     records = []
-    hs = list(enumerate_shortlex(basis, bound, n, g))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             alpha = _alpha(i, n, g)
-            t1j = concat_all([alpha, gen_word(x), invert(alpha)])
-            for h in hs:
-                hw = expand_word(h, n, g)
+            t1j = conjugate(x, alpha)
+            for tag, h_codes, _ in hs:
+                hw = Word.from_codes(h_codes, (n, g))
                 lhs = commutator(t1j, conjugate(t1j, hw))
-                gw = concat_all([invert(alpha), hw, alpha])
+                gw = conjugate(hw, invert(alpha))
                 if fault:
                     gw = concat(gw, gen_word(sigma(1), n, g))
-                rhs = concat_all([alpha, commutator(gen_word(x), conjugate(gen_word(x), gw)),
-                                  invert(alpha)])
-                ok = lhs == rhs
-                tag = format_word(h).replace(" ", ",") or "1"
-                records.append(CheckRecord(f"eq32[i={i},j={j},h={tag}]", "free", ok,
-                                           "" if ok else format_word(concat(lhs, invert(rhs)))))
+                rhs = conjugate(commutator(x, conjugate(x, gw)), alpha)
+                records.append(_free_equality(f"eq32[i={i},j={j},h={tag}]", lhs, rhs))
     return Report.build(f"eq32 n={n} g={g} bound={bound}", records)
 
 
@@ -355,14 +350,10 @@ def _check_lh_transport(n: int, g: int, fault: bool = False) -> Report:
             word = gen_word(b, n, g)
             for k in range(i - 1, 0, -1):
                 word = extension.sigma_conj_word(word, k, n, g, wrong_parity=fault)
-            predicted = expand_word(word, n, g)
-            alpha = _alpha(i, n, g)
-            transported = concat_all([alpha, expand_gen(b, n, g), invert(alpha)])
-            ok = predicted == transported
-            ok_basis = all(gen.i == 1 or gen.kind not in ("a", "t") for gen, _ in word.letters)
-            records.append(CheckRecord(f"transport[i={i},b={b}]", "free",
-                                       ok and ok_basis,
-                                       "" if ok and ok_basis else format_word(word)))
+            ok = (expand_word(word, n, g) == conjugate(expand_gen(b, n, g), _alpha(i, n, g))
+                  and all(gen.i == 1 or gen.kind not in ("a", "t") for gen, _ in word.letters))
+            records.append(CheckRecord(f"transport[i={i},b={b}]", "free", ok,
+                                       "" if ok else format_word(word)))
     return Report.build(f"lh transport n={n} g={g}", records)
 
 
@@ -371,12 +362,10 @@ def loop_expansion_comparison(n: int, g: int) -> Report:
     rewrite of the plain one; the two stated forms turn out freely equal."""
     if n < 2:
         raise ValueError("comparison needs n >= 2")
+    if g < 1:
+        raise ValueError(f"comparison needs genus g >= 1, got {g}")
     records = []
     for s in range(1, 2 * g):
-        plain = expand_A_pure(2, s, n, g)
-        translated = expand_word(plain, n, g)
-        geo = expand_A_geo(s, n, g)
-        ok = translated == geo
-        records.append(CheckRecord(f"A-expansion[s={s}]", "free", ok,
-                                   "" if ok else format_word(concat(translated, invert(geo)))))
+        translated = expand_word(expand_A_pure(2, s, n, g), n, g)
+        records.append(_free_equality(f"A-expansion[s={s}]", translated, expand_A_geo(s, n, g)))
     return Report.build(f"A-expansion comparison n={n} g={g}", records)

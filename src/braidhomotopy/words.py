@@ -205,7 +205,9 @@ class Word:
     """A freely reduced word; the empty word is the identity.
 
     ``Word(letters, context)`` encodes ``(Gen, +1/-1)`` pairs into
-    ``codes``.  ``context`` is ``(n, g)`` for words containing typed
+    ``codes`` and freely reduces them; any other exponent raises
+    AlphabetError, and every typed letter is checked against the context,
+    cancelled or not.  ``context`` is ``(n, g)`` for words containing typed
     letters and ``None`` for purely abstract words.  Instances are
     immutable and all operations are pure, so words are safe to share
     between threads.
@@ -217,8 +219,12 @@ class Word:
 
     def __init__(self, letters: Iterable[tuple[Gen, int]] = (),
                  context: tuple[int, int] | None = None):
+        letters = tuple(letters)
+        for _, e in letters:
+            if e not in (1, -1):
+                raise AlphabetError(f"letter exponent must be +/-1, got {e}")
         codes = tuple(code(gen) if e > 0 else -code(gen) for gen, e in letters)
-        _init(self, codes, _checked_context(codes, context))
+        _init(self, _reduce(codes), _checked_context(codes, context))
 
     @classmethod
     def from_codes(cls, codes: tuple[int, ...], context: tuple[int, int] | None) -> "Word":
@@ -288,11 +294,7 @@ def free_reduce(letters: Iterable[tuple[Gen, int]], n: int | None = None,
     letters = tuple(letters)
     if n is None and any(gen.kind != "x" for gen, _ in letters):
         raise ContextError("typed letters require an (n, g) context")
-    for gen, e in letters:
-        if e not in (1, -1):
-            raise AlphabetError(f"letter exponent must be +/-1, got {e}")
-    context = None if n is None else (n, 0 if g is None else g)
-    return _checked(_reduce(code(gen) * e for gen, e in letters), context)
+    return Word(letters, None if n is None else (n, 0 if g is None else g))
 
 
 def concat(u: Word, v: Word) -> Word:

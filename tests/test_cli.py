@@ -186,3 +186,26 @@ def test_reduce_with_words_does_not_wait_for_stdin():
         proc.kill()
         proc.stdin.close()
         proc.stdout.close()
+
+
+def test_tc_uses_the_coincidence_a_deduction_finds():
+    # This enumeration defines exactly 164 cosets.  When the gap's first
+    # definition has already filled the back entry, the deduction finds a
+    # coincidence.  Skipping it still closes the table, because later scans
+    # rediscover the coincidence, but only after 170 definitions.  So at this
+    # cap the skip shows up as an overflow (exit 3).
+    code, out, err = run(["tc", "--family", "surface", "-n", "4", "-g", "2",
+                          "--subgroup", "pure", "--max-cosets", "164"])
+    assert (code, out, err) == (0, "24\n", "")
+
+
+def test_verify_genus_flag():
+    code, out, _ = run(["verify", "eq32", "-n", "3", "-g", "0", "--lh-bound", "2"])
+    assert code == 0 and out.startswith("# eq32 n=3 g=0 bound=2: PASS (51 checks, 0 failures)")
+    code, out, _ = run(["verify", "eq32", "-n", "3", "--lh-bound", "1"])
+    assert code == 0 and out.startswith("# eq32 n=3 g=1 bound=1: PASS")
+    for argv in (["eq31", "-n", "3", "-g", "-1"], ["eq32", "-n", "3", "-g", "-1"],
+                 ["transport", "-n", "3", "-g", "-2"], ["a-expansion", "-n", "3", "-g", "0"],
+                 ["a-expansion", "-n", "3", "-g", "-1"]):
+        code, out, err = run(["verify", *argv])
+        assert (code, out) == (2, "") and "genus" in err, argv

@@ -63,3 +63,38 @@ def test_pres_golden(flags, text_sha, json_sha):
 def test_purity_golden():
     argv, sha = PURITY
     assert _digest(argv) == sha
+
+
+# Identity-check reports, recorded before the relation builders of
+# ``presentations`` and the free-equality records of ``verify`` were
+# shared.  Each entry: argv, exit code, text digest, JSON digest.  The
+# ``--inject-fault`` runs fail on purpose and exit 1.
+VERIFY = [
+    ("verify eq31 -n 5", 0,
+     "e7975c6b81f7374f0ef75d69acaff0d0ebdb50ec53d451bf79f82f5352cd1c32",
+     "31d9003aa1439856cccb4194e8cb9856faeeee298182645cc71c25b623072a36"),
+    ("verify eq32 -n 4 -g 2 --lh-bound 2", 0,
+     "86afccf718b957abf3ffce71f43101fb3538935187523735a1109645f6b599c2",
+     "57af46288ed20f89b66158154ef643a8219dff9dfeae5c37518121f0a999932d"),
+    ("verify transport -n 4 -g 2", 0,
+     "c37d99a418fd1b98c96e86de74a6300042204c941d58315385ed6d0f763150ae",
+     "3e23fb086baceec8b6a612f8940f89dec541e210c347886a3d1205da5a84a0fe"),
+    ("verify a-expansion -n 3 -g 2", 0,
+     "22e8d65fd01187fb5d3a0d5765b06e032d578ef8c4690f09a7300eec55ccf8cc",
+     "91a4640089d5099592d0ef05051e822d5faf3de753bf7cd95bb65c9c38ac796c"),
+    ("verify eq31 -n 5 --inject-fault", 1,
+     "44ece895d3dc722e635013daad1b9f099e88039110a02f57d3ee3a5dd071e112",
+     "18c929d4041d55d3894b1b5ceddc11b67a21b04a4d8b6a62a1f52ee1a5016234"),
+    ("verify eq32 -n 4 -g 2 --lh-bound 2 --inject-fault", 1,
+     "866846529add2b8beccdf1ee159e89656da8275d5651c98140971baef8803107",
+     "2fc80a260624f87983b9cafc30ff8101c3a9446a3f6449415c6324f9a9e19347"),
+    ("verify transport -n 4 -g 2 --inject-fault", 1,
+     "63f00c9085f521d14497507ec1b1fc3bedcafe7b29e6696513e2245a68ce18ec",
+     "69b073f2222e79702dd86011aa2bbb9ab05c808485b743b11602b79b25529f4e"),
+]
+
+
+@pytest.mark.parametrize("argv,code,text_sha,json_sha", VERIFY, ids=[v[0] for v in VERIFY])
+def test_verify_golden(argv, code, text_sha, json_sha):
+    assert _digest(f"{argv} --format text", code) == text_sha
+    assert _digest(f"{argv} --format json", code) == json_sha

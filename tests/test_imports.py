@@ -1,0 +1,69 @@
+"""Every module-level import in the package is used.
+
+A standard-library stand-in for a linter's unused-import rule: each
+module is parsed with ``ast``, and a name bound by a module-level import
+must be read somewhere in that module (string annotations included).
+Names listed in ``__all__`` count as used, so the package's re-exports
+pass.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import braidhomotopy
+
+MODULES = sorted(pathlib.Path(braidhomotopy.__file__).parent.glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each module-level import, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                # a string annotation such as "Presentation"
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_detects_an_unused_import():
+    source = ("import json, os.path\nfrom re import sub as s, compile\n"
+              "from typing import Any\n__all__ = ['compile']\n"
+              "def f(x: 'Any') -> str:\n    return 'json'\n")
+    tree = ast.parse(source)
+    assert set(_imported(tree)) - _used(tree) == {"json", "os", "s"}

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from braidhomotopy.perms import is_pure
@@ -128,6 +130,19 @@ def test_lh_relators_all_pure():
 def test_negative_bound_rejected():
     with pytest.raises(ValueError):
         homotopy_generalized_presentation(3, 1, True, -1)
+
+
+def test_negative_bound_rejected_where_it_is_stored():
+    with pytest.raises(ValueError, match="lh_bound must be >= 0"):
+        RelatorFamily("HN", 3, 1, 0, -1)
+    with pytest.raises(ValueError, match="lh_bound must be >= 0"):
+        pure_homotopy_presentation(1, 2, True, -1)  # no family: the presentation's own bound
+    doc = json.loads(presentation_to_json(pure_homotopy_presentation(3, 1, True, 1)))
+    for key, holder in (("bound", doc["families"][0]), ("lh_bound", doc)):
+        holder[key] = -1
+        with pytest.raises(ValueError, match="lh_bound must be >= 0"):
+            presentation_from_json(json.dumps(doc))
+        holder[key] = 1
 
 
 def test_with_auxiliary_form():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from braidhomotopy.words import (
+    EPSILON,
     AlphabetError,
     ContextError,
     Word,
@@ -37,6 +38,23 @@ def test_free_reduce_nested_cancellation():
 def test_free_reduce_partial():
     letters = [(sigma(1), 1), (sigma(2), 1), (sigma(2), -1), (sigma(1), 1)]
     assert format_word(free_reduce(letters, 3, 1)) == "s1^2"
+
+
+def test_word_constructor_reduces():
+    word = Word(((sigma(1), 1), (sigma(1), -1)), (2, 0))
+    assert len(word) == 0 and format_word(word) == "" and word == EPSILON
+    nested = Word(((sigma(1), 1), (sigma(2), 1), (sigma(2), -1), (sigma(1), 1)), (3, 0))
+    assert nested == parse_word("s1^2", 3)
+
+
+def test_word_constructor_checks_exponents_and_context():
+    for e in (2, 0, -3):
+        with pytest.raises(AlphabetError):
+            Word(((sigma(1), e),), (2, 0))
+    with pytest.raises(AlphabetError):  # checked before the pair cancels
+        Word(((sigma(2), 1), (sigma(2), -1)), (2, 0))
+    with pytest.raises(ContextError):
+        Word(((sigma(1), 1), (sigma(1), -1)))
 
 
 def test_concat_examples():
