@@ -4,8 +4,9 @@ Subcommands: ``pres`` emits presentations, ``verify`` runs the oracle
 suites, ``reduce`` normalizes single words, ``tc`` enumerates cosets,
 ``h1`` computes abelianizations.  Exit codes: 0 success or pass, 1
 verification failure, 2 usage error, 3 resource overflow.  Output is
-deterministic byte-for-byte; truncation bounds are always explicit
-flags, never defaults.
+deterministic byte-for-byte.  Families with self-commutation relator
+streams need an explicit ``--lh-bound``; only the identity checks
+``verify eq31|eq32|transport`` default it to 3.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def _cmd_verify(args, out, err) -> int:
         report = verify.purity_report(p)
     elif args.check == "a-expansion":
         _require(args.n is not None and args.g is not None, "a-expansion needs -n and -g")
-        report = verify.loop_expansion_comparison(args.n, args.g)
+        report = verify.loop_expansion_comparison(args.n, args.g, fault=args.inject_fault)
     else:
         _require(args.n is not None, "identity checks need -n")
         kind = {"eq31": "eq31", "eq32": "eq32", "transport": "lh_free_identity"}[args.check]

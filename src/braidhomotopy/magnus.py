@@ -7,14 +7,35 @@ contains every relator [x, x^g], so it decides triviality in the
 reduced free group up to the faithfulness of the classical invariant:
 verdicts are reported relative to the invariant, never as absolute
 word-problem answers.
+
+The expansion multiplies left to right by (1 +/- X_i).  Monomials are
+grouped by the bitmask of the letters they use: multiplying by X_i
+reads only the groups without bit i and writes only into groups with
+it, so every group is updated in place.  Since X_i^2 = 0, a run x_i^k
+is one update by 1 + kX_i.  Inside the kernel a monomial X_{i1}..X_{im}
+is the integer with base-(rank + 1) digits i1..im; the tuple keys of
+``NonRepeatingSeries`` are decoded only for a returned image.  A running
+count of live monomials stops any expansion that passes
+``MAX_MONOMIALS`` with ResourceLimitError: a rank-r image can hold about
+e * r! monomials.
+
+``is_rf_trivial`` expands only the cyclically reduced core of the word.
+The expansion is a ring homomorphism, so mu(c u c^-1) = mu(c) mu(u)
+mu(c)^-1 is 1 exactly when mu(u) is; the cancelled conjugator c is still
+checked against the basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Mapping, Sequence
 
-from braidhomotopy.words import Gen, Word, code, symbol
+from braidhomotopy.words import Gen, ResourceLimitError, Word, code, symbol
+
+# Live monomials one expansion may hold.  A full rank-9 image has
+# e * 9! ~ 986,410, so no word over nine letters or fewer reaches it.
+MAX_MONOMIALS = 1_000_000
 
 
 class BasisError(ValueError):
@@ -82,42 +103,96 @@ def series_mul(a: NonRepeatingSeries, b: NonRepeatingSeries) -> NonRepeatingSeri
     return NonRepeatingSeries(a.rank, out)
 
 
+def _basis_index(codes: Sequence[int], basis: Sequence[Gen] | None) -> dict[int, int]:
+    """Position 1..rank of each basis symbol by code; every letter must be in the basis.
+
+    Without an explicit basis the letters' own symbols, sorted, serve as one.
+    """
+    if basis is None:
+        basis = sorted({symbol(c) for c in codes}, key=Gen.sort_key)
+    index = {code(gen): i + 1 for i, gen in enumerate(basis)}
+    if len(index) != len(basis):
+        raise BasisError("basis contains a repeated symbol")
+    for c in codes:
+        if (c if c > 0 else -c) not in index:
+            raise BasisError(f"letter {symbol(c)} outside the basis")
+    return index
+
+
+def _expand(codes: Sequence[int], index: Mapping[int, int],
+            base: int) -> tuple[dict[int, dict[int, int]], int]:
+    """Mask-grouped image of the letters and its number of live monomials.
+
+    ``groups[mask]`` maps each monomial whose letter set is ``mask`` (bit
+    i for X_i), encoded in base ``base``, to its nonzero coefficient.
+    Group 0 is always ``{0: 1}``, so the image is 1 iff one monomial lives.
+    """
+    groups: dict[int, dict[int, int]] = {0: {0: 1}}
+    live = 1
+    for c, run in groupby(codes):
+        i = index[c if c > 0 else -c]
+        k = len(list(run)) * (1 if c > 0 else -1)
+        bit = 1 << i
+        for mask, src in list(groups.items()):
+            if mask & bit:
+                continue
+            dst = groups.get(mask | bit)
+            if dst is None:
+                groups[mask | bit] = {key * base + i: k * v for key, v in src.items()}
+                live += len(src)
+            else:
+                before = len(dst)
+                get = dst.get
+                for key, v in src.items():
+                    key = key * base + i
+                    v = get(key, 0) + k * v
+                    if v:
+                        dst[key] = v
+                    else:
+                        del dst[key]
+                live += len(dst) - before
+                if not dst:
+                    del groups[mask | bit]
+            if live > MAX_MONOMIALS:
+                raise ResourceLimitError(f"Magnus image exceeds {MAX_MONOMIALS} monomials")
+    return groups, live
+
+
 def magnus_image(w: Word, basis: Sequence[Gen] | None = None) -> NonRepeatingSeries:
     """Multiplicative extension of gen -> 1 + X_i over the given basis.
 
     Without an explicit basis the word's own letters, sorted, serve as
     one.  Letters outside the basis are rejected.
     """
-    if basis is None:
-        basis = sorted({symbol(c) for c in w.codes}, key=Gen.sort_key)
-    index = {code(gen): i + 1 for i, gen in enumerate(basis)}
-    if len(index) != len(basis):
-        raise BasisError("basis contains a repeated symbol")
-    rank = len(basis)
-    # multiply left-to-right by (1 +/- X_i): cheap incremental update
-    coeffs: dict[tuple[int, ...], int] = {(): 1}
-    for c in w.codes:
-        i = index.get(c if c > 0 else -c)
-        if i is None:
-            raise BasisError(f"letter {symbol(c)} outside the basis")
-        e = 1 if c > 0 else -1
-        out = dict(coeffs)
-        for key, c in coeffs.items():
-            if i in key:
-                continue
-            key2 = key + (i,)
-            val = out.get(key2, 0) + e * c
-            if val:
-                out[key2] = val
-            elif key2 in out:
-                del out[key2]
-        coeffs = out
-    return NonRepeatingSeries(rank, coeffs)
+    index = _basis_index(w.codes, basis)
+    base = len(index) + 1
+    groups, _ = _expand(w.codes, index, base)
+    keys: dict[int, tuple[int, ...]] = {0: ()}
+
+    def decode(key: int) -> tuple[int, ...]:  # memoized: images share prefixes
+        t = keys.get(key)
+        if t is None:
+            prefix, i = divmod(key, base)
+            t = keys[key] = decode(prefix) + (i,)
+        return t
+
+    coeffs = {decode(key): v for group in groups.values() for key, v in group.items()}
+    return NonRepeatingSeries(len(index), coeffs)
 
 
 def is_rf_trivial(w: Word, basis: Sequence[Gen] | None = None) -> bool:
-    """True iff the word maps to 1 under the non-repeating expansion."""
-    return magnus_image(w, basis).is_one()
+    """True iff the word maps to 1 under the non-repeating expansion.
+
+    Only the cyclically reduced core u of w = c u c^-1 is expanded; every
+    letter of w, c included, must lie in the basis.
+    """
+    codes = w.codes
+    index = _basis_index(codes, basis)
+    k, n = 0, len(codes)
+    while k < n - 1 - k and codes[k] == -codes[n - 1 - k]:
+        k += 1
+    _, live = _expand(codes[k:n - k], index, len(index) + 1)
+    return live == 1
 
 
 def mu_coefficient(w: Word, indices: Sequence[int],

@@ -357,9 +357,13 @@ def _check_lh_transport(n: int, g: int, fault: bool = False) -> Report:
     return Report.build(f"lh transport n={n} g={g}", records)
 
 
-def loop_expansion_comparison(n: int, g: int) -> Report:
+def loop_expansion_comparison(n: int, g: int, fault: bool = False) -> Report:
     """Compare the crossing-sandwiched loop word with the strand-2
-    rewrite of the plain one; the two stated forms turn out freely equal."""
+    rewrite of the plain one; the two stated forms turn out freely equal.
+
+    ``fault`` appends a crossing to the first rewrite, so exactly one
+    record must fail.
+    """
     if n < 2:
         raise ValueError("comparison needs n >= 2")
     if g < 1:
@@ -367,5 +371,7 @@ def loop_expansion_comparison(n: int, g: int) -> Report:
     records = []
     for s in range(1, 2 * g):
         translated = expand_word(expand_A_pure(2, s, n, g), n, g)
+        if fault and s == 1:
+            translated = concat(translated, gen_word(sigma(1), n, g))
         records.append(_free_equality(f"A-expansion[s={s}]", translated, expand_A_geo(s, n, g)))
     return Report.build(f"A-expansion comparison n={n} g={g}", records)

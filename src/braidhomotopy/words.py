@@ -374,6 +374,30 @@ def enumerate_shortlex(basis: Sequence[Gen], max_len: int,
         layer = next_layer
 
 
+# token -> (signed letter code, letter count, has an exponent); tokens with
+# |exponent| > _TOKEN_CACHE_EXP are never cached, and a full cache starts over.
+# Concurrent parses need no lock: every entry is the token's one decoding, and
+# a race can overshoot the size by at most one entry per thread.
+_TOKENS: dict[str, tuple[int, int, bool]] = {}
+_TOKEN_CACHE_SIZE = 4096
+_TOKEN_CACHE_EXP = 16
+
+
+def _token(token: str) -> tuple[int, int, bool]:
+    """Decode one token of the grammar, caching it if its exponent is small."""
+    name, caret, exp = token.partition("^")
+    if caret and not (exp[1:] if exp[:1] == "-" else exp).isdecimal():
+        raise AlphabetError(f"unparseable token {token!r}")
+    c = _spelling_code(name)
+    k = int(exp) if caret else 1
+    entry = (c if k > 0 else -c, abs(k), bool(caret))
+    if abs(k) <= _TOKEN_CACHE_EXP:
+        if len(_TOKENS) >= _TOKEN_CACHE_SIZE:
+            _TOKENS.clear()
+        _TOKENS[token] = entry
+    return entry
+
+
 def parse_word(text: str, n: int | None = None, g: int | None = None) -> Word:
     """Parse the token grammar, e.g. ``s1 a1.2^-1 t1.3``.
 
@@ -381,27 +405,42 @@ def parse_word(text: str, n: int | None = None, g: int | None = None) -> Word:
     optional ``^<signed int>`` exponent.  Abstract identifiers may not
     collide with the reserved ``s<i>``/``a<i>.<r>``/``t<i>.<j>`` forms.
     A word longer than ``MAX_WORD_LETTERS`` letters with its exponents
-    expanded raises ResourceLimitError before it is expanded.
+    expanded raises ResourceLimitError before it is expanded.  Without a
+    context, a typed letter raises ContextError even if it cancels; with
+    one, the letters left after free reduction are checked against it.
+
+    Each token's letter and count are cached, at most
+    ``_TOKEN_CACHE_SIZE`` tokens with exponents up to ``_TOKEN_CACHE_EXP``,
+    so hostile input cannot grow the cache.  Letters are freely reduced
+    onto a stack as they are read, in one pass.
     """
-    codes: list[int] = []
-    for token in text.split():
-        name, caret, exp = token.partition("^")
-        if caret and not (exp[1:] if exp[:1] == "-" else exp).isdecimal():
-            raise AlphabetError(f"unparseable token {token!r}")
-        c = _spelling_code(name)
-        if not caret:
-            codes.append(c)
-        else:
-            k = int(exp)
-            if len(codes) + abs(k) > MAX_WORD_LETTERS:
-                raise ResourceLimitError(f"word exceeds {MAX_WORD_LETTERS} letters at {token!r}")
-            codes.extend([c if k > 0 else -c] * abs(k))
-    if len(codes) > MAX_WORD_LETTERS:
-        raise ResourceLimitError(f"word exceeds {MAX_WORD_LETTERS} letters")
     context = None if n is None else (n, 0 if g is None else g)
-    if context is None:
-        _checked_context(codes, None)  # typed letters need a context even if they cancel
-    return _checked(_reduce(codes), context)
+    stack: list[int] = []
+    push, pop, cached = stack.append, stack.pop, _TOKENS.get
+    total = 0  # letters read, before reduction
+    typed = 0  # first typed letter of a word without a context
+    for token in text.split():
+        c, m, caret = cached(token) or _token(token)
+        if caret and total + m > MAX_WORD_LETTERS:
+            raise ResourceLimitError(f"word exceeds {MAX_WORD_LETTERS} letters at {token!r}")
+        total += m
+        if context is None and not typed and m and _GENS[abs(c)].kind != "x":
+            typed = abs(c)
+        if m == 1:
+            if stack and stack[-1] == -c:
+                pop()
+            else:
+                push(c)
+        elif m:
+            while m and stack and stack[-1] == -c:
+                pop()
+                m -= 1
+            stack.extend([c] * m)
+    if total > MAX_WORD_LETTERS:
+        raise ResourceLimitError(f"word exceeds {MAX_WORD_LETTERS} letters")
+    if typed:
+        raise ContextError(f"typed letter {_GENS[typed]} requires an (n, g) context")
+    return _checked(tuple(stack), context)
 
 
 def format_word(w: Word) -> str:

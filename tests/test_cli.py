@@ -209,3 +209,12 @@ def test_verify_genus_flag():
                  ["a-expansion", "-n", "3", "-g", "-1"]):
         code, out, err = run(["verify", *argv])
         assert (code, out) == (2, "") and "genus" in err, argv
+
+
+def test_verify_a_expansion_fault_fails_one_record():
+    code, out, _ = run(["verify", "a-expansion", "-n", "3", "-g", "2", "--inject-fault"])
+    assert code == 1
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")] == [
+        "A-expansion[s=1]"]
+    code, out, _ = run(["verify", "a-expansion", "-n", "3", "-g", "2"])
+    assert code == 0 and "FAIL" not in out

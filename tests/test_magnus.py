@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from braidhomotopy import magnus
+from braidhomotopy.cli import run_command
 from braidhomotopy.magnus import (
     BasisError,
     NonRepeatingSeries,
@@ -15,12 +17,14 @@ from braidhomotopy.magnus import (
     series_mul,
 )
 from braidhomotopy.words import (
+    ResourceLimitError,
     Word,
     atom,
     commutator,
     concat,
     conjugate,
     enumerate_shortlex,
+    format_word,
     free_reduce,
     gen_word,
     invert,
@@ -138,3 +142,86 @@ def test_default_basis_inference():
     comm = commutator(gen_word(X[0]), gen_word(X[1]))
     assert not is_rf_trivial(comm)
     assert mu_coefficient(comm, (1, 2)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the mask-grouped kernel against a plain left-to-right product
+
+Y = [atom(f"y{i}") for i in range(1, 7)]
+
+
+@st.composite
+def basis_and_letters(draw):
+    """A basis of rank <= 6 (some symbols may go unused) and letters with runs."""
+    basis = draw(st.permutations(Y))[:draw(st.integers(1, 6))]
+    runs = draw(st.lists(st.tuples(st.integers(0, len(basis) - 1), st.sampled_from([1, -1]),
+                                   st.integers(1, 3)), max_size=14))
+    return basis, [(basis[i], e) for i, e, k in runs for _ in range(k)]
+
+
+@settings(deadline=None)
+@given(basis_and_letters())
+def test_kernel_matches_series_product(case):
+    basis, letters = case
+    expected = one(len(basis))
+    for gen, e in letters:
+        expected = series_mul(expected, generator_series(len(basis), basis.index(gen) + 1, e))
+    assert magnus_image(free_reduce(letters), basis) == expected
+
+
+@settings(deadline=None)
+@given(basis_and_letters(), st.data())
+def test_verdict_is_conjugation_invariant(case, data):
+    basis, letters = case
+    w = free_reduce(letters)
+    c = free_reduce(data.draw(st.lists(
+        st.tuples(st.sampled_from(basis), st.sampled_from([1, -1])), max_size=8)))
+    verdict = magnus_image(w, basis).is_one()
+    assert is_rf_trivial(conjugate(w, c), basis) == is_rf_trivial(w, basis) == verdict
+    assert is_rf_trivial(conjugate(w, c)) == verdict
+
+
+def test_trivial_core_inside_a_dense_conjugator():
+    c = free_reduce([(gen, 1) for gen in Y] * 2)
+    core = commutator(gen_word(Y[0]), conjugate(gen_word(Y[0]), gen_word(Y[1])))
+    assert is_rf_trivial(conjugate(core, c), Y)
+    assert not is_rf_trivial(conjugate(commutator(gen_word(Y[0]), gen_word(Y[1])), c), Y)
+
+
+def test_cancelled_conjugator_letter_must_be_in_basis():
+    core = commutator(gen_word(Y[0]), conjugate(gen_word(Y[0]), gen_word(Y[1])))
+    w = conjugate(core, gen_word(Y[3]))
+    assert is_rf_trivial(w) and is_rf_trivial(core, Y[:2])
+    with pytest.raises(BasisError, match="letter y4 outside the basis"):
+        is_rf_trivial(w, Y[:2])
+    with pytest.raises(BasisError, match="letter y4 outside the basis"):
+        magnus_image(w, Y[:2])
+    with pytest.raises(BasisError, match="repeated symbol"):
+        is_rf_trivial(core, [Y[0], Y[1], Y[0]])
+
+
+# ---------------------------------------------------------------------------
+# the monomial cap
+
+DENSE = free_reduce([(gen, 1) for gen in Y[:5]] * 2)  # not a conjugate: nothing cancels
+
+
+def test_monomial_cap(monkeypatch):
+    size = len(magnus_image(DENSE).coeffs)
+    assert size > 20
+    monkeypatch.setattr(magnus, "MAX_MONOMIALS", 20)
+    with pytest.raises(ResourceLimitError, match="exceeds 20 monomials"):
+        magnus_image(DENSE)
+    with pytest.raises(ResourceLimitError):
+        is_rf_trivial(DENSE)
+    # cyclic reduction leaves a one-letter core, far under the cap
+    assert not is_rf_trivial(conjugate(gen_word(Y[5]), DENSE))
+    monkeypatch.setattr(magnus, "MAX_MONOMIALS", size)
+    assert len(magnus_image(DENSE).coeffs) == size
+
+
+def test_monomial_cap_exits_three(monkeypatch):
+    monkeypatch.setattr(magnus, "MAX_MONOMIALS", 20)
+    code, out, err = run_command(["reduce", "--oracle", "magnus", format_word(DENSE)])
+    assert (code, out) == (3, b"")
+    assert err == b"resource limit: Magnus image exceeds 20 monomials\n"
