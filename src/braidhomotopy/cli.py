@@ -27,6 +27,9 @@ from braidhomotopy.words import (
 )
 
 
+FAMILIES = ("surface", "homotopy", "goldsmith", "pure", "symmetric", "quotient")
+
+
 class _UsageError(Exception):
     pass
 
@@ -40,8 +43,8 @@ def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="braidhomotopy", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family_flags(p, families, required=True):
-        p.add_argument("--family", required=required, choices=families)
+    def add_family_flags(p, required=True):
+        p.add_argument("--family", required=required, choices=FAMILIES)
         p.add_argument("-n", type=int, required=required, help="number of strands")
         p.add_argument("-g", type=int, default=None, help="genus of the surface")
         grp = p.add_mutually_exclusive_group()
@@ -52,7 +55,7 @@ def _build_parser() -> _ArgumentParser:
                             "for families with self-commutation relators)")
 
     p = sub.add_parser("pres", help="construct and print a presentation")
-    add_family_flags(p, ["surface", "homotopy", "goldsmith", "pure", "symmetric", "quotient"])
+    add_family_flags(p)
     p.add_argument("--with-auxiliary", action="store_true",
                    help="include redundant generators with their defining relations")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -60,8 +63,7 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("check", choices=["purity", "eq31", "eq32", "transport", "a-expansion"])
-    add_family_flags(p, ["surface", "homotopy", "goldsmith", "pure", "symmetric", "quotient"],
-                     required=False)
+    add_family_flags(p, required=False)
     p.add_argument("--input", default=None, help="verify a serialized presentation (JSON)")
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one site on purpose; the suite must fail")
@@ -85,7 +87,7 @@ def _build_parser() -> _ArgumentParser:
         description="Enumerate cosets of a finitely generated subgroup. Only "
                     "finite-index configurations can close; an infinite-index "
                     "run overflows by design and exits with code 3.")
-    add_family_flags(p, ["surface", "homotopy", "goldsmith", "pure", "symmetric", "quotient"])
+    add_family_flags(p)
     p.add_argument("--subgroup", choices=["trivial", "pure"], default="trivial",
                    help="'pure' uses the loop/band generating set")
     p.add_argument("--subgroup-word", action="append", default=[],
@@ -95,8 +97,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("h1", help="abelianization via Smith normal form")
-    add_family_flags(p, ["surface", "homotopy", "goldsmith", "pure", "symmetric", "quotient"],
-                     required=False)
+    add_family_flags(p, required=False)
     p.add_argument("--input", default=None, help="presentation JSON instead of flags")
     p.add_argument("--expect", default=None,
                    help="fail (exit 1) unless the result equals this, e.g. 'Z^2 + Z/2'")
@@ -231,14 +232,13 @@ def _cmd_tc(args, out, err) -> int:
 
 
 def _cmd_h1(args, out, err) -> int:
+    expected = None if args.expect is None else verify.parse_invariants(args.expect)
     p = _load_or_build(args)
     invariants = verify.h1(p)
     out.write(str(invariants) + "\n")
-    if args.expect is not None:
-        expected = verify.parse_invariants(args.expect)
-        if invariants != expected:
-            err.write(f"expected {expected}, computed {invariants}\n")
-            return 1
+    if expected is not None and invariants != expected:
+        err.write(f"expected {expected}, computed {invariants}\n")
+        return 1
     return 0
 
 

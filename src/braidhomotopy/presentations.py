@@ -273,12 +273,12 @@ class Presentation:
         for fam in self.families:
             yield from fam.instances(bound)
 
-    def labeled_relators(self, bound: int | None = None) -> list[tuple[str, Word]]:
+    def labeled_relators(self) -> list[tuple[str, Word]]:
         """``iter_relators`` as a list."""
-        return list(self.iter_relators(bound))
+        return list(self.iter_relators())
 
-    def all_relators(self, bound: int | None = None) -> list[Word]:
-        return [rel for _, rel in self.iter_relators(bound)]
+    def all_relators(self) -> list[Word]:
+        return [rel for _, rel in self.iter_relators()]
 
     def with_relator(self, label: str, rel: Word) -> "Presentation":
         return replace(self, relators=self.relators + (rel,), labels=self.labels + (label,))
@@ -497,9 +497,9 @@ def hn_generators(n: int, g: int, lh_bound: int) -> Iterator[Word]:
 # serialization
 
 
-def presentation_to_text(p: Presentation, bound: int | None = None) -> str:
+def presentation_to_text(p: Presentation) -> str:
     """One relator per line in the token grammar (families materialized)."""
-    lines = [format_word(rel) for _, rel in p.iter_relators(bound)]
+    lines = [format_word(rel) for _, rel in p.iter_relators()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -11,6 +11,7 @@ produced in any order.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -51,6 +52,9 @@ class AbelianInvariants:
     torsion: tuple[int, ...]
 
     def __post_init__(self):
+        if self.free_rank < 0 or any(d < 2 for d in self.torsion):
+            raise ValueError(f"invariants need free rank >= 0 and torsion >= 2, got "
+                             f"{self.free_rank} and {self.torsion}")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError(f"torsion {self.torsion} is not a divisor chain")
@@ -138,11 +142,11 @@ class Report:
 # abelianization
 
 
-def abelianized_matrix(p: Presentation, bound: int | None = None) -> list[list[int]]:
+def abelianized_matrix(p: Presentation) -> list[list[int]]:
     """Exponent-sum matrix: one row per relator, one column per generator."""
     column = {code(gen): col for col, gen in enumerate(p.generators)}
     rows = []
-    for label, rel in p.iter_relators(bound):
+    for label, rel in p.iter_relators():
         row = [0] * len(column)
         for c, k in Counter(rel.codes).items():
             col = column.get(c if c > 0 else -c)
@@ -159,89 +163,50 @@ def smith_normal_form(mat: Sequence[Sequence[int]],
 
     Rows are relations, columns generators; the result describes
     Z^ncols / rowspace.  Exact arbitrary-precision arithmetic.
+
+    Least-pivot elimination: pivot on a least nonzero |entry| and clear
+    its column, then its row, by floor division.  A nonzero remainder is
+    smaller than the pivot and is the next pivot; a cleared cross splits
+    off |pivot|.  So each pass lowers the least |entry| or shrinks the
+    matrix, and the loop ends.  Then diag(a, b) ~ diag(gcd, lcm)
+    exchanges make the diagonal a divisor chain.
     """
     if ncols is None:
         if not mat:
             raise ValueError("empty matrix needs an explicit column count")
         ncols = len(mat[0])
     a = [list(row) for row in mat if any(row)]
-    for row in a:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-    divisors: list[int] = []
-    t = 0
-    while t < len(a) and t < ncols:
-        pivot = _min_entry(a, t)
-        if pivot is None:
-            break
-        _move_pivot(a, t, pivot)
-        while True:
-            _clear_cross(a, t)
-            off = _nondivisible(a, t)
-            if off is None:
-                break
-            for j in range(ncols):
-                a[t][j] += a[off][j]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        divisors.append(a[t][t])
-        t += 1
-    torsion = tuple(d for d in divisors if d > 1)
-    return AbelianInvariants(ncols - len(divisors), torsion)
-
-
-def _min_entry(a, t):
-    best = None
-    for i in range(t, len(a)):
-        for j in range(t, len(a[i])):
-            if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def _move_pivot(a, t, pivot):
-    i, j = pivot
-    a[t], a[i] = a[i], a[t]
-    if j != t:
+    if any(len(row) != ncols for row in a):
+        raise ValueError("ragged matrix")
+    diagonal = []
+    while a := [row for row in a if any(row)]:
+        pivot = min(a, key=lambda row: min(map(abs, filter(None, row))))
+        p = min(filter(None, pivot), key=abs)
+        pj = pivot.index(p)
+        for i, row in enumerate(a):
+            if row[pj] and row is not pivot:
+                q = row[pj] // p
+                a[i] = [x - q * y for x, y in zip(row, pivot)]
+        if any(row[pj] for row in a if row is not pivot):
+            continue
+        # with column pj clear, the column operations change the pivot row alone
+        pivot[:] = [x % p for x in pivot]
+        if any(pivot):
+            pivot[pj] = p
+            continue
+        diagonal.append(abs(p))
         for row in a:
-            row[t], row[j] = row[j], row[t]
+            del row[pj]  # the pivot row, now zero, drops out on the next pass
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            d = math.gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = d, diagonal[i] * diagonal[j] // d
+    return AbelianInvariants(ncols - len(diagonal), tuple(d for d in diagonal if d > 1))
 
 
-def _clear_cross(a, t):
-    """Zero out column t below the pivot and row t right of it."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t + 1, len(a)):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t]:
-                    a[t], a[i] = a[i], a[t]
-                    changed = True
-        for j in range(t + 1, len(a[t])):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                for row in a:
-                    row[j] -= q * row[t]
-                if a[t][j]:
-                    for row in a:
-                        row[t], row[j] = row[j], row[t]
-                    changed = True
-
-
-def _nondivisible(a, t):
-    d = a[t][t]
-    for i in range(t + 1, len(a)):
-        for j in range(t + 1, len(a[i])):
-            if a[i][j] % d:
-                return i
-    return None
-
-
-def h1(p: Presentation, bound: int | None = None) -> AbelianInvariants:
-    """Abelianization of the presented group (families truncated at bound)."""
-    return smith_normal_form(abelianized_matrix(p, bound), ncols=len(p.generators))
+def h1(p: Presentation) -> AbelianInvariants:
+    """Abelianization of the presented group (families at their own bounds)."""
+    return smith_normal_form(abelianized_matrix(p), ncols=len(p.generators))
 
 
 # ---------------------------------------------------------------------------

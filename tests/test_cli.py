@@ -218,3 +218,35 @@ def test_verify_a_expansion_fault_fails_one_record():
         "A-expansion[s=1]"]
     code, out, _ = run(["verify", "a-expansion", "-n", "3", "-g", "2"])
     assert code == 0 and "FAIL" not in out
+
+
+def test_h1_input_on_a_matrix_prone_to_entry_growth(tmp_path):
+    # Integer elimination can double the entry sizes of this 7x8 exponent-sum
+    # matrix (entries at most 9) on every pass.  A child process with a
+    # timeout turns such a hang into a failure.
+    import braidhomotopy
+
+    rows = [[4, 1, -3, 0, -7, 0, 8, -5], [0, 6, 0, 0, 7, 0, -4, 0], [0, 0, -8, 1, 0, 0, 0, 0],
+            [3, 9, 0, 9, 8, 0, 7, 0], [0, -2, 0, -9, 0, 9, 0, 0],
+            [-3, -1, -6, 1, -4, -7, 1, 8], [-8, 6, 0, -8, 1, -5, 0, 4]]
+    doc = {"family": "matrix", "n": 1, "g": 0, "closed": None, "lh_bound": None,
+           "generators": [f"x{j}" for j in range(1, 9)],
+           "relators": [{"label": f"r{i}",
+                         "word": " ".join(f"x{j}^{k}" for j, k in enumerate(row, 1) if k)}
+                        for i, row in enumerate(rows, 1)],
+           "families": []}
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(braidhomotopy.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "braidhomotopy", "h1", "--input", str(path)],
+                          capture_output=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"Z + Z/2 + Z/6\n", b"")
+
+
+def test_h1_expect_rejects_invariants_no_group_has():
+    # Z/0 would divide by zero in the divisor-chain check, Z^-1 is a negative
+    # free rank, and Z/1 can never match: computed torsion is always >= 2.
+    for expect in ("Z/0 + Z/2", "Z^-1", "Z/1", "Z/-2 + Z/4", "Z + Z^-2"):
+        code, out, err = run(["h1", "--family", "symmetric", "-n", "3", "--expect", expect])
+        assert (code, out) == (2, ""), expect
+        assert err.startswith("error: ") and err.count("\n") == 1, expect

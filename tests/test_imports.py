@@ -67,3 +67,41 @@ def test_detects_an_unused_import():
               "def f(x: 'Any') -> str:\n    return 'json'\n")
     tree = ast.parse(source)
     assert set(_imported(tree)) - _used(tree) == {"json", "os", "s"}
+
+
+def _unreferenced_private(trees: dict[str, ast.Module]) -> set[str]:
+    """``module:name`` of each private module-level function or class that
+    nothing outside its own definition refers to.  A bare name counts in
+    its own module; an attribute or a ``from`` import counts anywhere."""
+    anywhere, readers = set(), {}
+    for mod, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    anywhere.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    anywhere.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    readers.setdefault((mod, node.id), set()).add(id(top))
+    return {f"{mod}:{top.name}" for mod, tree in trees.items() for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and top.name.startswith("_") and not top.name.startswith("__")
+            and top.name not in anywhere
+            and not readers.get((mod, top.name), set()) - {id(top)}}
+
+
+def test_no_private_helper_left_unreferenced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert not _unreferenced_private(trees)
+
+
+def test_detects_an_unreferenced_private_helper():
+    trees = {"a.py": ast.parse("def _kept():\n    return 1\n"
+                               "def _recursive(k):\n    return _recursive(k - 1)\n"
+                               "class _Gone:\n    pass\n"
+                               "def _imported():\n    pass\n"
+                               "def _by_attribute():\n    pass\n"
+                               "def __getattr__(name):\n    return _kept()\n"),
+             "b.py": ast.parse("import a\nfrom a import _imported\n"
+                               "x = a._by_attribute\n_Gone = _recursive = 1\n")}
+    assert _unreferenced_private(trees) == {"a.py:_recursive", "a.py:_Gone"}

@@ -1,6 +1,13 @@
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
+
+import braidhomotopy
 
 from braidhomotopy.presentations import (
     goldsmith_presentation,
@@ -93,6 +100,38 @@ def test_snf_against_sympy():
         nonzero = [d for d in diag if d]
         torsion = tuple(d for d in nonzero if d > 1)
         assert mine == AbelianInvariants(cols - len(nonzero), torsion)
+
+
+def test_snf_against_sympy_up_to_8x8_with_large_entries():
+    # Integer elimination can let entries grow without bound, and matrices up
+    # to 8x8 with |x| <= 10^6 are enough to show it.  The SNF runs in a child
+    # process under a timeout, so a hang fails the test instead of stalling
+    # the suite.
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(47)
+    cases = []
+    for _ in range(200):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        hi, density = rng.choice((9, 10**3, 10**6)), rng.random()
+        cases.append((cols, [[rng.randint(-hi, hi) if rng.random() < density else 0
+                              for _ in range(cols)] for _ in range(rows)]))
+    script = ("import json, sys\n"
+              "from braidhomotopy.verify import smith_normal_form\n"
+              "for cols, mat in json.load(sys.stdin):\n"
+              "    print(smith_normal_form(mat, cols))\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(braidhomotopy.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], input=json.dumps(cases),
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(cases)
+    for (cols, mat), line in zip(cases, lines):
+        snf = sympy_snf(sympy.Matrix(mat))
+        nonzero = [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i]]
+        expected = AbelianInvariants(cols - len(nonzero), tuple(d for d in nonzero if d > 1))
+        assert parse_invariants(line) == expected, mat
 
 
 def test_invariant_rendering():
