@@ -23,7 +23,7 @@ from typing import Sequence
 
 from braidhomotopy.presentations import (
     Presentation,
-    presentation_from_json,
+    presentation_from_doc,
     pure_homotopy_presentation,
     symmetric_presentation,
 )
@@ -475,8 +475,7 @@ def extension_data_from_json(text: str) -> ExtensionData:
         raise ValueError(f"extension JSON: need an object with fields {', '.join(fields)}")
     if not isinstance(doc["conj_words"], dict):
         raise ValueError("extension JSON: field 'conj_words' must be an object")
-    kernel = presentation_from_json(json.dumps(doc["kernel"]))
-    quotient = presentation_from_json(json.dumps(doc["quotient"]))
+    kernel, quotient = (presentation_from_doc(doc[key]) for key in ("kernel", "quotient"))
     n, g = kernel.n, kernel.g
     lifts = {parse_gen(y): parse_gen(t) for y, t in _string_map(doc["lifts"], "lifts").items()}
     rel_words = {label: parse_word(body, n, g)

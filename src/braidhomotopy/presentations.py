@@ -26,8 +26,8 @@ Each relation is stated once, by shared builders:
     _pairs              the strand pairs i < j (band generators, R9, PR2-PR7)
     _presentation       the one constructor behind every family and the JSON reader
 
-A truncation bound is checked where it is stored, in
-``RelatorFamily.__post_init__`` and ``Presentation.__post_init__``.
+Every truncation bound is checked by ``_check_bound``, where it is stored
+(``RelatorFamily``, ``Presentation``) and where ``instances`` is given one.
 """
 
 from __future__ import annotations
@@ -173,8 +173,7 @@ class RelatorFamily:
     def instances(self, bound: int | None = None) -> Iterator[tuple[str, Word]]:
         """Yield (label, relator) pairs, skipping freely trivial instances."""
         bound = self.bound if bound is None else bound
-        if bound < 0:
-            raise ValueError(f"truncation bound must be >= 0, got {bound}")
+        _check_bound(bound)
         n, g = self.n, self.g
         ctx = (n, g)
         strands = range(1, n) if self.kind == "HN" else [self.strand]
@@ -546,9 +545,13 @@ def _fields(doc, *keys) -> list:
 
 def presentation_from_json(text: str) -> Presentation:
     """Inverse of ``presentation_to_json``; a malformed document raises ValueError."""
+    return presentation_from_doc(json.loads(text))
+
+
+def presentation_from_doc(doc) -> Presentation:
+    """``presentation_from_json`` on an already parsed JSON document."""
     family, n, g, closed, lh_bound, tokens, entries, fams = _fields(
-        json.loads(text), "family", "n", "g", "closed", "lh_bound", "generators", "relators",
-        "families")
+        doc, "family", "n", "g", "closed", "lh_bound", "generators", "relators", "families")
     if n < 1 or g < 0 or not all(isinstance(tok, str) for tok in tokens):
         raise ValueError("presentation JSON: need n >= 1, g >= 0 and generator strings")
     gens = tuple(parse_gen(tok) for tok in tokens)

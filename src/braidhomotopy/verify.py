@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from braidhomotopy import extension
@@ -40,7 +40,6 @@ from braidhomotopy.words import (
     invert,
     code,
     sigma,
-    symbol,
 )
 
 
@@ -143,16 +142,13 @@ class Report:
 
 
 def abelianized_matrix(p: Presentation) -> list[list[int]]:
-    """Exponent-sum matrix: one row per relator, one column per generator."""
+    """Exponent-sum matrix: a row per relator, families included; a column per generator."""
     column = {code(gen): col for col, gen in enumerate(p.generators)}
     rows = []
-    for label, rel in p.iter_relators():
+    for _, rel in p.iter_relators():
         row = [0] * len(column)
         for c, k in Counter(rel.codes).items():
-            col = column.get(c if c > 0 else -c)
-            if col is None:
-                raise ValueError(f"relator {label} uses non-generator {symbol(c)}")
-            row[col] += k if c > 0 else -k
+            row[column[abs(c)]] += k if c > 0 else -k
         rows.append(row)
     return rows
 
@@ -205,8 +201,10 @@ def smith_normal_form(mat: Sequence[Sequence[int]],
 
 
 def h1(p: Presentation) -> AbelianInvariants:
-    """Abelianization of the presented group (families at their own bounds)."""
-    return smith_normal_form(abelianized_matrix(p), ncols=len(p.generators))
+    """Abelianization from the finite relators alone: the families are never
+    streamed, since every instance [t, t^h] has zero exponent sums.  So the
+    result is that of the untruncated families, whatever their bound."""
+    return smith_normal_form(abelianized_matrix(replace(p, families=())), ncols=len(p.generators))
 
 
 # ---------------------------------------------------------------------------
