@@ -3,9 +3,10 @@
 Subcommands: ``pres`` emits presentations, ``verify`` runs the oracle
 suites, ``reduce`` normalizes single words, ``tc`` enumerates cosets,
 ``h1`` computes abelianizations.  Exit codes: 0 success or pass, 1
-verification failure, 2 usage error, 3 resource overflow.  Output is
-deterministic byte-for-byte.  Families with self-commutation relator
-streams need an explicit ``--lh-bound``; only the identity checks
+verification failure, 2 usage error, 3 resource overflow (a fixed cap,
+or memory or recursion depth running out).  Output is deterministic
+byte-for-byte.  Families with self-commutation relator streams need an
+explicit ``--lh-bound``; only the identity checks
 ``verify eq31|eq32|transport`` default it to 3.
 """
 
@@ -269,8 +270,8 @@ def run_command(argv: list[str], stdin: bytes | BinaryIO = b"") -> tuple[int, by
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         code = 2
-    except ResourceLimitError as exc:
-        err.write(f"resource limit: {exc}\n")
+    except (ResourceLimitError, MemoryError, RecursionError) as exc:
+        err.write(f"resource limit: {str(exc) or type(exc).__name__}\n")
         code = 3
     except (AlphabetError, ContextError, UnsupportedLetterError, ValueError) as exc:
         err.write(f"error: {exc}\n")

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import getitem
 from typing import Sequence
 
 from braidhomotopy.presentations import (
     Presentation,
     presentation_from_doc,
+    presentation_to_doc,
     pure_homotopy_presentation,
     symmetric_presentation,
 )
@@ -291,22 +294,33 @@ class CosetTable:
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
+    def fixes(self, words: Sequence[list[int]], cosets: Sequence[int] | None = None) -> bool:
+        """Whether every word, given as columns, leads each of the cosets
+        (default: all) back to itself.  Needs a complete table.
+
+        Each row becomes a list of the rows it leads to, so a trace is one
+        ``reduce(getitem, word, row)`` that runs at C speed.
+        """
+        states = [list(row) for row in self.rows]
+        for state in states:
+            state[:] = [states[v] for v in state]
+        try:
+            starts = states if cosets is None else [states[c] for c in cosets]
+            return all(reduce(getitem, word, s) is s for word in words for s in starts)
+        finally:
+            for state in states:  # break the reference cycles
+                state.clear()
+
     def validate(self, relators: Sequence[list[int]], subgroup: Sequence[list[int]]) -> bool:
         """Consistency: every column 2k + 1 undoes column 2k (so both are
         permutations), relators trace home, subgroup words fix coset 1."""
         rows, ncols = self.rows, 2 * len(self.generators)
-        if self.status != "closed" or any(
+        if self.status != "closed" or not rows or any(
                 len(row) != ncols or not all(0 <= v < len(rows) for v in row) for row in rows):
             return False
-
-        def trace(c: int, word: list[int]) -> int:
-            for col in word:
-                c = rows[c][col]
-            return c
         return (all(rows[row[col]][col + 1] == c
                     for c, row in enumerate(rows) for col in range(0, ncols, 2))
-                and all(trace(c, word) == c for word in relators for c in range(len(rows)))
-                and all(trace(0, word) == 0 for word in subgroup))
+                and self.fixes(relators) and self.fixes(subgroup, [0]))
 
 
 def word_to_columns(w: Word, generators: Sequence[Gen]) -> list[int]:
@@ -338,19 +352,40 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     fills its row.  A trace runs forward over the word and backward over
     its inverse until each meets an undefined entry; cosets are defined
     only inside the gap between the two, whose last letter is deduced.
-    Scans that meet unify their ends.  Relator families are materialized
-    at their stored bounds.  A closed table's coset count is the index
-    and its rows are the live cosets in order of definition;
-    ``max_cosets`` caps the cosets defined, live or dead, and exceeding
-    it gives status "overflow", not an error.
+    Scans that meet unify their ends.  A closed table's coset count is
+    the index and its rows are the live cosets in order of definition;
+    ``max_cosets`` caps the cosets defined, live or dead, by each
+    enumeration, and exceeding it gives status "overflow", not an error.
+
+    Relator families are materialized once, at their stored bounds, and
+    the enumeration runs in two stages.  The first enumerates over the
+    finite relators alone.  If that table closes and every family relator
+    fixes every coset, the families lie in the core of the subgroup, so
+    the table is one for the whole presentation and its count is the
+    index.  Otherwise (the first stage overflows, or a family relator
+    moves a coset) the enumeration reruns from scratch over all relators,
+    finite ones first.  So every overflow, and every index the one-stage
+    enumeration reaches, stays as it was; the first stage may also close
+    where that one overflows, and its table may number cosets differently.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     gens = p.generators
-    ncols = 2 * len(gens)
     columns = _columns(gens)
-    relators = [_word_columns(w, columns) for _, w in p.iter_relators()]
+    finite = [_word_columns(w, columns) for w in p.relators]
+    families = [_word_columns(w, columns) for fam in p.families for _, w in fam.instances()]
     subgroup_cols = [_word_columns(w, columns) for w in subgroup]
+    if families:
+        table = _enumerate(gens, finite, subgroup_cols, max_cosets)
+        if table.status == "closed" and table.fixes(families):
+            return table
+    return _enumerate(gens, finite + families, subgroup_cols, max_cosets)
+
+
+def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],
+               subgroup_cols: list[list[int]], max_cosets: int) -> CosetTable:
+    """One HLT enumeration over relators and subgroup words given as columns."""
+    ncols = 2 * len(gens)
     # union-find over cosets (labels[c] == c iff c is live, else an older
     # coset) and one row per coset, whose entries may name dead cosets
     labels = [0]
@@ -440,7 +475,7 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
         if label == c:
             live.append(c)
     number.append(_UNDEF)  # number[_UNDEF] is _UNDEF
-    return CosetTable(tuple(gens), [[number[v] for v in table[c]] for c in live], status)
+    return CosetTable(gens, [[number[v] for v in table[c]] for c in live], status)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +483,9 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
 
 
 def extension_data_to_json(data: ExtensionData) -> str:
-    from braidhomotopy.presentations import presentation_to_json
     doc = {
-        "kernel": json.loads(presentation_to_json(data.kernel)),
-        "quotient": json.loads(presentation_to_json(data.quotient)),
+        "kernel": presentation_to_doc(data.kernel),
+        "quotient": presentation_to_doc(data.quotient),
         "lifts": {str(y): str(t) for y, t in data.lifts.items()},
         "rel_words": {label: format_word(w) for label, w in data.rel_words.items()},
         "conj_words": {str(y): {str(x): format_word(w)

@@ -28,6 +28,8 @@ Each relation is stated once, by shared builders:
 
 Every truncation bound is checked by ``_check_bound``, where it is stored
 (``RelatorFamily``, ``Presentation``) and where ``instances`` is given one.
+A strand with more than ``MAX_CONJUGATORS`` conjugators up to its bound
+raises ResourceLimitError before any conjugator is built.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from typing import Iterator
 from braidhomotopy.words import (
     AlphabetError,
     Gen,
+    ResourceLimitError,
     Word,
     atom,
     band,
@@ -63,6 +66,9 @@ from braidhomotopy.words import (
     substitute,
     symbol,
 )
+
+
+MAX_CONJUGATORS = 250_000  # per strand; the n = 5, g = 2, bound-4 strand has 57,857
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +204,17 @@ class RelatorFamily:
     def conjugators(self, i: int, bound: int | None = None) -> list[tuple[str, tuple, tuple]]:
         """(label tag, expansion codes, inverse codes) per conjugator h of strand i,
         in stream order up to ``bound`` (default: the family's); each
-        expansion extends its parent prefix's."""
+        expansion extends its parent prefix's.  More than ``MAX_CONJUGATORS``
+        of them raise ResourceLimitError before any is built."""
         n, g = self.n, self.g
         bound = self.bound if bound is None else bound
         basis = self.strand_basis(i)
+        # a nonempty basis has at least 1 + 2 * bound conjugators, so a bound
+        # above the cap is over it already and need not enter the power
+        if _conjugator_count(len(basis), min(bound, MAX_CONJUGATORS)) > MAX_CONJUGATORS:
+            raise ResourceLimitError(
+                f"relator family {self.kind} (strand {i}) has more than {MAX_CONJUGATORS} "
+                f"conjugators up to bound {bound}")
         image = {}
         for gen in basis:
             c = code(gen)
@@ -215,6 +228,14 @@ class RelatorFamily:
             hw = expansion[h.codes]
             out.append((format_word(h).replace(" ", ",") or "1", hw, inverse_codes(hw)))
         return out
+
+
+def _conjugator_count(rank: int, bound: int) -> int:
+    """Freely reduced words of length <= bound over ``rank`` letters and their
+    inverses: 1 + 2r((2r - 1)^b - 1) / (2r - 2), or 1 + 2rb when r <= 1."""
+    if rank <= 1:
+        return 1 + 2 * rank * bound
+    return 1 + 2 * rank * ((2 * rank - 1) ** bound - 1) // (2 * rank - 2)
 
 
 def _check_bound(bound: int) -> None:
@@ -507,7 +528,12 @@ def parse_relator_lines(text: str, n: int, g: int) -> list[Word]:
 
 
 def presentation_to_json(p: Presentation) -> str:
-    doc = {
+    return json.dumps(presentation_to_doc(p), indent=2) + "\n"
+
+
+def presentation_to_doc(p: Presentation) -> dict:
+    """The JSON document of ``presentation_to_json``, before it is dumped."""
+    return {
         "family": p.family,
         "n": p.n,
         "g": p.g,
@@ -521,7 +547,6 @@ def presentation_to_json(p: Presentation) -> str:
                                 if fam.strand else "per-strand")}
                      for fam in p.families],
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 _JSON_TYPES = {"family": str, "n": int, "g": int, "closed": (bool, type(None)),

@@ -1,0 +1,148 @@
+"""Staged Todd-Coxeter: close on the finite relators, check the families.
+
+``todd_coxeter`` first enumerates over the finite relators alone.  If that
+table closes and every family relator fixes every coset, it is returned;
+otherwise the enumeration reruns over all relators.  These tests compare
+it with the one-stage enumeration (the families inlined as finite
+relators), pin each route through the stages, and check the case only
+the staged enumeration closes under the default cap.
+"""
+
+import itertools
+import math
+import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import replace
+
+import pytest
+
+import braidhomotopy
+from braidhomotopy import extension
+from braidhomotopy.cli import run_command
+from braidhomotopy.extension import CosetTable, todd_coxeter, word_to_columns
+from braidhomotopy.presentations import (
+    expand_a,
+    expand_t,
+    goldsmith_presentation,
+    homotopy_generalized_presentation,
+    homotopy_quotient,
+    pure_homotopy_presentation,
+    surface_braid_presentation,
+)
+from braidhomotopy.words import atom, parse_word
+
+
+def _inlined(p):
+    """The same presentation with its families as finite relators."""
+    labeled = p.labeled_relators()
+    return replace(p, relators=tuple(w for _, w in labeled),
+                   labels=tuple(label for label, _ in labeled), families=())
+
+
+def _validates(table, p, subgroup):
+    rels = [word_to_columns(w, p.generators) for _, w in p.iter_relators()]
+    return table.validate(rels, [word_to_columns(w, p.generators) for w in subgroup])
+
+
+def _pure_subgroup(n, g):
+    sub = [expand_a(i, r, n, g) for i in range(1, n + 1) for r in range(1, 2 * g + 1)]
+    return sub + [expand_t(i, j, n, g) for i in range(1, n) for j in range(i + 1, n + 1)]
+
+
+def _family_presentations():
+    for n in (2, 3, 4, 5):
+        for g in (1, 2):
+            for bound in (1, 2):
+                for closed in (True, False):
+                    yield (f"homotopy-{n}-{g}-{closed}-{bound}",
+                           homotopy_generalized_presentation(n, g, closed, bound))
+                yield (f"quotient-{n}-{g}-{bound}",
+                       homotopy_quotient(surface_braid_presentation(n, g), bound))
+
+
+@pytest.mark.parametrize("p", [pytest.param(p, id=name) for name, p in _family_presentations()])
+def test_staged_pure_index_matches_the_one_stage_enumeration(p):
+    n, sub = p.n, _pure_subgroup(p.n, p.g)
+    staged, plain = todd_coxeter(p, sub), todd_coxeter(_inlined(p), sub)
+    # the one-stage enumeration overflows the default cap on every n = 5,
+    # bound-2 case; wherever it closes, both give the index n!
+    assert (staged.status, staged.coset_count) == ("closed", math.factorial(n))
+    if n < 5 or p.lh_bound < 2:
+        assert (plain.status, plain.coset_count) == ("closed", math.factorial(n))
+    assert _validates(staged, p, sub)
+
+
+_GOLDSMITH_WORDS = {3: ["s1", "s2", "s1^2", "s2^3", "s1 s2", "s2 s1^2 s2^-1", "s1^-1 s2",
+                        "s1 s2 s1"],
+                    4: ["s1", "s2 s3", "s3^2", "s1 s2 s3", "s2^3", "s1^2 s3"]}
+
+
+def _word_subgroups():
+    """Subgroups of Goldsmith's and the pure groups given by words."""
+    for n, words in _GOLDSMITH_WORDS.items():
+        for pair in itertools.combinations(words, 2):
+            yield f"goldsmith-{n}-{'|'.join(pair)}", goldsmith_presentation(n, 1), pair
+    for n, closed in itertools.product((2, 3), (True, False)):
+        p = pure_homotopy_presentation(n, 1, closed, 1)
+        gens = [str(gen) for gen in p.generators]
+        for k in range(len(gens)):
+            for e in (2, 3) if n == 2 else (2,):
+                words = tuple(f"{x}^{e}" if i == k else x for i, x in enumerate(gens))
+                yield f"pure-{n}-{closed}-{gens[k]}^{e}", p, words
+
+
+@pytest.mark.parametrize("p,words", [pytest.param(p, w, id=name)
+                                     for name, p, w in _word_subgroups()])
+def test_staged_word_subgroups_match_the_one_stage_enumeration(p, words):
+    sub = [parse_word(w, p.n, p.g) for w in words]
+    staged, plain = todd_coxeter(p, sub, 2000), todd_coxeter(_inlined(p), sub, 2000)
+    assert (staged.status, staged.coset_count) == (plain.status, plain.coset_count)
+    if staged.status == "overflow":  # the fallback is the one-stage enumeration
+        assert staged.rows == plain.rows
+    else:
+        assert _validates(staged, p, sub)
+
+
+@pytest.mark.parametrize("words,index,stages", [
+    # the finite stage closes and the families fix its one coset
+    (["s1", "s2"], 1, [("closed", 1)]),
+    # B_3 / <s1, s2^3> has 8 cosets, and an LH relator moves some of them
+    (["s1", "s2^3"], 1, [("closed", 8), ("closed", 1)]),
+    # <s1 s2, s2 s1^2 s2^-1> has infinite index in B_3
+    (["s1 s2", "s2 s1^2 s2^-1"], 2, [("overflow", None), ("closed", 2)]),
+], ids=["families-fix-every-coset", "families-move-a-coset", "finite-stage-overflows"])
+def test_stage_routes(monkeypatch, words, index, stages):
+    seen = []
+    enumerate_once = extension._enumerate
+
+    def spy(*args):
+        table = enumerate_once(*args)
+        seen.append((table.status, table.coset_count if table.status == "closed" else None))
+        return table
+
+    monkeypatch.setattr(extension, "_enumerate", spy)
+    argv = ["tc", "--family", "goldsmith", "-n", "3", "--lh-bound", "1",
+            "--max-cosets", "20000"]
+    for w in words:
+        argv += ["--subgroup-word", w]
+    assert run_command(argv) == (0, f"{index}\n".encode(), b"")
+    assert seen == stages
+
+
+def test_fixes_traces_words_from_the_given_cosets():
+    # Z/3 = <x | x^3> acting on its three cosets
+    table = CosetTable((atom("x"),), [[1, 2], [2, 0], [0, 1]], "closed")
+    assert table.fixes([[0, 0, 0], [0, 1], []])
+    assert not table.fixes([[0]])
+    assert not table.fixes([[0, 0, 0], [0]], [2])
+    assert table.fixes([[0, 1, 0, 0, 0]], [0])
+
+
+def test_the_staged_enumeration_closes_where_the_one_stage_one_overflows():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(braidhomotopy.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "braidhomotopy", "tc", "--family", "homotopy",
+                           "-n", "5", "-g", "2", "--closed", "--lh-bound", "2",
+                           "--subgroup", "pure"], capture_output=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"120\n", b"")
