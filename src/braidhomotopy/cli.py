@@ -28,7 +28,19 @@ from braidhomotopy.words import (
 )
 
 
-FAMILIES = ("surface", "homotopy", "goldsmith", "pure", "symmetric", "quotient")
+# family -> (the arguments it needs beyond -n, checked in this order; constructor)
+FAMILIES = {
+    "surface": (("g",), lambda a: pres.surface_braid_presentation(a.n, a.g)),
+    "homotopy": (("g", "closed", "lh_bound"), lambda a: pres.homotopy_generalized_presentation(
+        a.n, a.g, a.closed, a.lh_bound, with_auxiliary=getattr(a, "with_auxiliary", False))),
+    "goldsmith": (("lh_bound",), lambda a: pres.goldsmith_presentation(a.n, a.lh_bound)),
+    "pure": (("g", "closed", "lh_bound"),
+             lambda a: pres.pure_homotopy_presentation(a.n, a.g, a.closed, a.lh_bound)),
+    "symmetric": ((), lambda a: pres.symmetric_presentation(a.n)),
+    "quotient": (("g", "lh_bound"), lambda a: pres.homotopy_quotient(
+        pres.surface_braid_presentation(a.n, a.g), a.lh_bound)),
+}
+_NEEDS = {"g": "-g", "closed": "--closed or --punctured", "lh_bound": "an explicit --lh-bound"}
 
 
 class _UsageError(Exception):
@@ -93,7 +105,7 @@ def _build_parser() -> _ArgumentParser:
                    help="'pure' uses the loop/band generating set")
     p.add_argument("--subgroup-word", action="append", default=[],
                    help="extra subgroup generator (token grammar); repeatable")
-    p.add_argument("--max-cosets", type=int, default=100_000)
+    p.add_argument("--max-cosets", type=int, default=ext.DEFAULT_MAX_COSETS)
     p.add_argument("--table-out", default=None, help="dump the coset table as CSV")
     p.add_argument("--output", default=None)
 
@@ -113,33 +125,12 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _build_presentation(args) -> pres.Presentation:
-    family = args.family
-    n, g, closed, bound = args.n, args.g, args.closed, args.lh_bound
-    if family == "surface":
-        _require(g is not None, "surface needs -g")
-        return pres.surface_braid_presentation(n, g)
-    if family == "homotopy":
-        _require(g is not None, "homotopy needs -g")
-        _require(closed is not None, "homotopy needs --closed or --punctured")
-        _require(bound is not None, "homotopy needs an explicit --lh-bound")
-        return pres.homotopy_generalized_presentation(
-            n, g, closed, bound, with_auxiliary=getattr(args, "with_auxiliary", False))
-    if family == "goldsmith":
-        _require(g in (None, 0), "goldsmith is the disk case; drop -g")
-        _require(bound is not None, "goldsmith needs an explicit --lh-bound")
-        return pres.goldsmith_presentation(n, bound)
-    if family == "pure":
-        _require(g is not None, "pure needs -g")
-        _require(closed is not None, "pure needs --closed or --punctured")
-        _require(bound is not None, "pure needs an explicit --lh-bound")
-        return pres.pure_homotopy_presentation(n, g, closed, bound)
-    if family == "symmetric":
-        return pres.symmetric_presentation(n)
-    if family == "quotient":
-        _require(g is not None, "quotient needs -g")
-        _require(bound is not None, "quotient needs an explicit --lh-bound")
-        return pres.homotopy_quotient(pres.surface_braid_presentation(n, g), bound)
-    raise _UsageError(f"unknown family {family}")
+    needs, build = FAMILIES[args.family]
+    _require(args.family != "goldsmith" or args.g in (None, 0),
+             "goldsmith is the disk case; drop -g")
+    for name in needs:
+        _require(getattr(args, name) is not None, f"{args.family} needs {_NEEDS[name]}")
+    return build(args)
 
 
 def _cmd_pres(args, out, err) -> int:
@@ -176,20 +167,20 @@ def _cmd_verify(args, out, err) -> int:
     else:
         _require(args.n is not None, "identity checks need -n")
         kind = {"eq31": "eq31", "eq32": "eq32", "transport": "lh_free_identity"}[args.check]
-        report = verify.identity_check(kind, args.n, 1 if args.g is None else args.g,
-                                       args.lh_bound if args.lh_bound is not None else 3,
+        bound = verify.DEFAULT_IDENTITY_BOUND if args.lh_bound is None else args.lh_bound
+        report = verify.identity_check(kind, args.n, 1 if args.g is None else args.g, bound,
                                        fault=args.inject_fault)
     out.write(report.to_json() if args.format == "json" else report.to_text())
     return 0 if report.passed else 1
 
 
-def _cmd_reduce(args, out, err, stdin: bytes | BinaryIO) -> int:
+def _cmd_reduce(args, out, err) -> int:
     texts = list(args.words)
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             texts += [line for line in fh.read().splitlines() if line.strip()]
     elif not texts:
-        data = stdin if isinstance(stdin, bytes) else stdin.read()
+        data = args.stdin if isinstance(args.stdin, bytes) else args.stdin.read()
         texts = [line for line in data.decode("utf-8").splitlines() if line.strip()]
     _require(bool(texts), "no input words")
     words = [parse_word(t, args.n, args.g) for t in texts]
@@ -256,17 +247,10 @@ def run_command(argv: list[str], stdin: bytes | BinaryIO = b"") -> tuple[int, by
     code = 0
     args = None
     try:
-        args = parser.parse_args(argv)
-        if args.command == "pres":
-            code = _cmd_pres(args, out, err)
-        elif args.command == "verify":
-            code = _cmd_verify(args, out, err)
-        elif args.command == "reduce":
-            code = _cmd_reduce(args, out, err, stdin)
-        elif args.command == "tc":
-            code = _cmd_tc(args, out, err)
-        else:
-            code = _cmd_h1(args, out, err)
+        args = parser.parse_args(argv, argparse.Namespace(stdin=stdin))
+        command = {"pres": _cmd_pres, "verify": _cmd_verify, "reduce": _cmd_reduce,
+                   "tc": _cmd_tc, "h1": _cmd_h1}[args.command]
+        code = command(args, out, err)
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         code = 2

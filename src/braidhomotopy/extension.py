@@ -161,13 +161,12 @@ def assemble_extension(data: ExtensionData) -> Presentation:
     """Presentation of the middle group of a short exact sequence.
 
     Kernel relator families are materialized at their stored bound, so
-    the result carries finite relators only.
+    the result carries finite relators only.  A lift symbol equal to a
+    kernel generator, or to another lift, raises ValueError.
     """
     data.validate()
     kernel, quotient = data.kernel, data.quotient
     gens = kernel.generators + tuple(data.lifts[y] for y in quotient.generators)
-    if len(set(gens)) != len(gens):
-        raise IncompleteDataError("lift symbols collide with kernel generators")
     n, g = kernel.n, kernel.g
     rels = [(f"A:{label}", rel) for label, rel in kernel.iter_relators()]
     for label, rel in zip(quotient.labels, quotient.relators):
@@ -343,8 +342,11 @@ class _Overflow(Exception):
     pass
 
 
+DEFAULT_MAX_COSETS = 100_000
+
+
 def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
-                 max_cosets: int = 100_000) -> CosetTable:
+                 max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
     """Enumerate cosets of the subgroup generated by the given words.
 
     Hazelrigg-Leech-Todd with a backward scan: subgroup words are traced

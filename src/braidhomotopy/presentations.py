@@ -257,7 +257,12 @@ def expand_word(w: Word, n: int, g: int) -> Word:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators, finite relators, and truncatable relator families."""
+    """Generators, finite relators, and truncatable relator families.
+
+    The generators are distinct and valid for (n, g), every relator and
+    family uses only them, and each family's strand fits its kind (0 for
+    HN, 1..n for LH and LH1); anything else raises ValueError.
+    """
 
     family: str
     n: int
@@ -275,12 +280,21 @@ class Presentation:
         if self.lh_bound is not None:
             _check_bound(self.lh_bound)  # pure with n = 1 has a bound but no family
         letters = {code(gen) for gen in self.generators}
+        if len(letters) != len(self.generators):
+            bad = next(gen for k, gen in enumerate(self.generators)
+                       if gen in self.generators[:k])
+            raise ValueError(f"repeated generator {bad}")
+        for gen in self.generators:
+            check_gen(gen, self.n, self.g)
         letters.update([-c for c in letters])
         for label, rel in zip(self.labels, self.relators):
             if not letters.issuperset(rel.codes):
                 bad = next(c for c in rel.codes if c not in letters)
                 raise ValueError(f"relator {label} uses non-generator {symbol(bad)}")
         for fam in self.families:
+            if not (fam.strand == 0 if fam.kind == "HN" else 1 <= fam.strand <= self.n):
+                raise ValueError(f"relator family {fam.kind} on {self.n} strands "
+                                 f"cannot have strand {fam.strand}")
             missing = fam.alphabet().difference(self.generators)
             if missing:
                 bad = min(missing, key=Gen.sort_key)
@@ -579,9 +593,7 @@ def presentation_from_doc(doc) -> Presentation:
         doc, "family", "n", "g", "closed", "lh_bound", "generators", "relators", "families")
     if n < 1 or g < 0 or not all(isinstance(tok, str) for tok in tokens):
         raise ValueError("presentation JSON: need n >= 1, g >= 0 and generator strings")
-    gens = tuple(parse_gen(tok) for tok in tokens)
-    for gen in gens:
-        check_gen(gen, n, g)
+    gens = [parse_gen(tok) for tok in tokens]
     rels = [_fields(entry, "label", "word") for entry in entries]
     fams = [_fields(fam, "kind", "strand", "bound") for fam in fams]
     return _presentation(family, n, g, closed, lh_bound, gens,

@@ -238,7 +238,10 @@ def _alpha(i: int, n: int, g: int, offset: int = 0) -> Word:
     return Word(tuple((sigma(k), 1) for k in range(1, top + 1)), (n, g))
 
 
-def identity_check(kind: str, n: int, g: int = 1, bound: int = 3,
+DEFAULT_IDENTITY_BOUND = 3  # the conjugator bound of eq32 when none is given
+
+
+def identity_check(kind: str, n: int, g: int = 1, bound: int = DEFAULT_IDENTITY_BOUND,
                    fault: bool = False) -> Report:
     """Batch-certify a defining identity family.
 

@@ -291,9 +291,6 @@ def free_reduce(letters: Iterable[tuple[Gen, int]], n: int | None = None,
     The result has no adjacent cancelling pair and equals the input in
     the free group.  Typed letters require ``n`` (and ``g`` for loops).
     """
-    letters = tuple(letters)
-    if n is None and any(gen.kind != "x" for gen, _ in letters):
-        raise ContextError("typed letters require an (n, g) context")
     return Word(letters, None if n is None else (n, 0 if g is None else g))
 
 
@@ -341,8 +338,6 @@ def gen_word(gen: Gen, n: int | None = None, g: int | None = None,
              e: int = 1) -> Word:
     """Single-generator word gen^e."""
     context = None if n is None else (n, 0 if g is None else g)
-    if gen.kind != "x" and context is None:
-        raise ContextError(f"typed letter {gen} requires an (n, g) context")
     c = code(gen)
     return _checked((c if e > 0 else -c,) * abs(e), context)
 
