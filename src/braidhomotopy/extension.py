@@ -39,7 +39,9 @@ from braidhomotopy.words import (
     concat_all,
     format_word,
     gen_word,
+    inverse_codes,
     invert,
+    join_codes,
     loop,
     parse_gen,
     parse_word,
@@ -137,7 +139,7 @@ class ExtensionData:
     conj_words: dict[tuple[Gen, Gen], Word]
 
     def validate(self) -> None:
-        kernel_gens = set(self.kernel.generators)
+        kernel_codes = {code(x) for x in self.kernel.generators}
         for y in self.quotient.generators:
             if y not in self.lifts:
                 raise IncompleteDataError(f"missing lift for quotient generator {y}")
@@ -151,10 +153,10 @@ class ExtensionData:
                         f"missing conjugation word for pair ({y}, {x})")
         for where, word in [(label, w) for label, w in self.rel_words.items()] + \
                 [(f"({y}, {x})", w) for (y, x), w in self.conj_words.items()]:
-            for gen, _ in word.letters:
-                if gen not in kernel_gens:
+            for c in word.codes:
+                if abs(c) not in kernel_codes:
                     raise IncompleteDataError(
-                        f"kernel expression for {where} uses non-kernel letter {gen}")
+                        f"kernel expression for {where} uses non-kernel letter {symbol(c)}")
 
 
 def assemble_extension(data: ExtensionData) -> Presentation:
@@ -209,33 +211,28 @@ def braid_extension_data(n: int, g: int, closed: bool, lh_bound: int) -> Extensi
 def tietze_eliminate(p: Presentation, gen: Gen, defining: Word) -> Presentation:
     """Remove a generator using a relator that mentions it exactly once.
 
-    The relator x gen^e y = 1 rewrites gen as (x^-1 y^-1)^e; every other
-    relator is substituted and freely reduced, the defining relator is
-    dropped, and relators that collapse to the empty word disappear.
+    The relator x gen^e y = 1 gives gen^-e = y x.  Every relator is
+    substituted and freely reduced; those that collapse to the empty word
+    disappear, the defining relator (now x x^-1 y^-1 y) among them.
     """
     if p.families:
         raise TietzeError("materialize relator families before Tietze moves")
-    try:
-        pos = p.relators.index(defining)
-    except ValueError:
+    if defining not in p.relators:
         raise TietzeError("defining relator is not a relator of the presentation")
-    occurrences = [(idx, e) for idx, (cur, e) in enumerate(defining.letters) if cur == gen]
+    codes, c = defining.codes, code(gen)
+    occurrences = [k for k, cur in enumerate(codes) if abs(cur) == c]
     if len(occurrences) != 1:
         raise TietzeError(f"relator does not isolate {gen}: {len(occurrences)} occurrences")
     if gen not in p.generators:
         raise TietzeError(f"{gen} is not a generator")
-    idx, e = occurrences[0]
-    x = Word(defining.letters[:idx], defining.context)
-    y = Word(defining.letters[idx + 1:], defining.context)
-    repl = concat(invert(x), invert(y))
-    if e == -1:
-        repl = invert(repl)
+    k = occurrences[0]
+    yx = join_codes(codes[k + 1:], codes[:k])
+    repl = Word.from_codes(yx if codes[k] < 0 else inverse_codes(yx), defining.context)
     new_rels = []
     new_labels = []
-    for i2, (label, rel) in enumerate(zip(p.labels, p.relators)):
-        if i2 == pos:
-            continue
-        sub = substitute(rel, lambda cur: repl if cur == gen else Word(((cur, 1),), rel.context))
+    for label, rel in zip(p.labels, p.relators):
+        sub = substitute(rel, lambda cur: repl if cur == gen
+                         else Word.from_codes((code(cur),), rel.context))
         if sub:
             new_rels.append(sub)
             new_labels.append(label)
@@ -245,12 +242,9 @@ def tietze_eliminate(p: Presentation, gen: Gen, defining: Word) -> Presentation:
 
 def find_isolating_relator(p: Presentation, gen: Gen) -> Word | None:
     """Shortest relator mentioning the generator exactly once, if any."""
-    best = None
-    for rel in p.relators:
-        count = sum(1 for cur, _ in rel.letters if cur == gen)
-        if count == 1 and (best is None or len(rel) < len(best)):
-            best = rel
-    return best
+    c = code(gen)
+    isolating = [rel for rel in p.relators if rel.codes.count(c) + rel.codes.count(-c) == 1]
+    return min(isolating, key=len, default=None)
 
 
 def eliminate_all(p: Presentation, gens: Sequence[Gen]) -> Presentation:

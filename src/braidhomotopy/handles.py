@@ -68,8 +68,10 @@ def _open_positions(word: list[int], r: int) -> list[int]:
 def handle_reduce(w: Word, step_cap: int = DEFAULT_STEP_CAP) -> Word:
     """Return a handle-free word equal to w in the braid group.
 
-    ``step_cap`` bounds the number of handle reductions.
+    ``step_cap`` (>= 0) bounds the number of handle reductions.
     """
+    if step_cap < 0:
+        raise ValueError(f"step_cap must be >= 0, got {step_cap}")
     word = _signed_indices(w)
     stack: list[int] = []  # _open_positions(word, q), kept up to date
     q = steps = 0

@@ -56,6 +56,7 @@ from braidhomotopy.words import (
     enumerate_shortlex,
     format_word,
     gen_word,
+    image_table,
     inverse_codes,
     invert,
     join_codes,
@@ -180,19 +181,14 @@ class RelatorFamily:
         """Yield (label, relator) pairs, skipping freely trivial instances."""
         bound = self.bound if bound is None else bound
         _check_bound(bound)
-        n, g = self.n, self.g
-        ctx = (n, g)
+        n, ctx = self.n, (self.n, self.g)
         strands = range(1, n) if self.kind == "HN" else [self.strand]
         for i in strands:
             conjugators = self.conjugators(i, bound)
             for j in range(i + 1, n + 1):
-                if self.kind == "LH1":
-                    t = gen_word(band(i, j), n, g).codes
-                    head = f"LH1[i={i},j={j},h="
-                else:
-                    t = expand_t(i, j, n, g).codes
-                    head = f"HN[i={i},j={j},h=" if self.kind == "HN" else f"LH[j={j},h="
+                t = self._letter_image(band(i, j)).codes
                 t_inv = inverse_codes(t)
+                head = f"LH[j={j},h=" if self.kind == "LH" else f"{self.kind}[i={i},j={j},h="
                 for tag, hw, hw_inv in conjugators:
                     # t hw t hw^-1 t^-1 hw t^-1 hw^-1 = [t, hw t hw^-1], one pass
                     rel = t
@@ -215,11 +211,7 @@ class RelatorFamily:
             raise ResourceLimitError(
                 f"relator family {self.kind} (strand {i}) has more than {MAX_CONJUGATORS} "
                 f"conjugators up to bound {bound}")
-        image = {}
-        for gen in basis:
-            c = code(gen)
-            rep = self._letter_image(gen)
-            image[c], image[-c] = rep.codes, inverse_codes(rep.codes)
+        image, _ = image_table(map(code, basis), self._letter_image)
         expansion: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
         out = []
         for h in enumerate_shortlex(basis, bound, n, g):

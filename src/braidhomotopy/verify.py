@@ -40,6 +40,7 @@ from braidhomotopy.words import (
     invert,
     code,
     sigma,
+    symbol,
 )
 
 
@@ -261,6 +262,10 @@ def identity_check(kind: str, n: int, g: int = 1, bound: int = DEFAULT_IDENTITY_
         raise ValueError(f"identity checks need genus g >= 0, got {g}")
     if kind in ("eq31", "eq32") and n < 2:
         raise ValueError(f"{kind} needs n >= 2")
+    if kind == "lh_free_identity" and (n < 2 or n == 2 and g == 0):
+        raise ValueError("transport needs a strand-i basis letter: n >= 3, or n = 2 and g >= 1")
+    if kind == "lh_free_identity" and fault and g == 0:
+        raise ValueError("transport fault injection needs a loop letter: g >= 1")
     if kind == "eq31":
         return _check_eq31(n, g, offset=1 if fault else 0)
     if kind == "eq32":
@@ -317,7 +322,7 @@ def _check_lh_transport(n: int, g: int, fault: bool = False) -> Report:
             for k in range(i - 1, 0, -1):
                 word = extension.sigma_conj_word(word, k, n, g, wrong_parity=fault)
             ok = (expand_word(word, n, g) == conjugate(expand_gen(b, n, g), _alpha(i, n, g))
-                  and all(gen.i == 1 or gen.kind not in ("a", "t") for gen, _ in word.letters))
+                  and all(symbol(c).i == 1 for c in word.codes if symbol(c).kind in ("a", "t")))
             records.append(CheckRecord(f"transport[i={i},b={b}]", "free", ok,
                                        "" if ok else format_word(word)))
     return Report.build(f"lh transport n={n} g={g}", records)

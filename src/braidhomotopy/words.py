@@ -329,9 +329,22 @@ def commutator(u: Word, v: Word) -> Word:
     return Word.from_codes(codes, context)
 
 
+def image_table(codes: Iterable[int], image: Callable[[Gen], Word]) -> tuple[dict, tuple | None]:
+    """The image codes of each symbol in ``codes`` and of its inverse, by signed letter code,
+    and the images' contexts merged as by ``concat_all``; one ``image`` call per symbol."""
+    images = [(c, image(_GENS[c])) for c in dict.fromkeys(map(abs, codes))]
+    table, context = {}, None
+    for c, rep in images:
+        table[c], table[-c] = rep.codes, inverse_codes(rep.codes)
+        context = _merge_context(context, rep.context)
+    return table, context
+
+
 def substitute(w: Word, image: Callable[[Gen], Word]) -> Word:
-    """Image of w under the homomorphism sending each generator to image(gen)."""
-    return concat_all([image(gen) if e > 0 else invert(image(gen)) for gen, e in w.letters])
+    """Image of w under the homomorphism gen -> image(gen), freely reduced in one pass;
+    ``image`` is called once per distinct symbol, in order of first use."""
+    table, context = image_table(w.codes, image)
+    return Word.from_codes(_reduce([c for x in w.codes for c in table[x]]), context)
 
 
 def gen_word(gen: Gen, n: int | None = None, g: int | None = None,

@@ -250,3 +250,30 @@ def test_h1_expect_rejects_invariants_no_group_has():
         code, out, err = run(["h1", "--family", "symmetric", "-n", "3", "--expect", expect])
         assert (code, out) == (2, ""), expect
         assert err.startswith("error: ") and err.count("\n") == 1, expect
+
+
+def test_reduce_refuses_a_negative_step_cap():
+    # like --max-cosets 0, a negative cap is a usage error, whatever the word
+    for argv in (["s1 s2 s1^-1"], ["s1"], ["--compare", "s1", "s2"]):
+        code, out, err = run(["reduce", "--oracle", "dehornoy", "--step-cap", "-1", *argv,
+                              "-n", "3"])
+        assert (code, out, err) == (2, "", "error: step_cap must be >= 0, got -1\n")
+    code, out, _ = run(["reduce", "--oracle", "dehornoy", "--step-cap", "0", "s1", "-n", "3"])
+    assert (code, out) == (0, "positive\n")
+    code, _, err = run(["reduce", "--oracle", "dehornoy", "--step-cap", "0",
+                        "s1 s2 s1^-1", "-n", "3"])
+    assert code == 3 and "exceeded 0 steps" in err
+
+
+def test_verify_transport_refuses_to_pass_vacuously():
+    # no strand-i letter to check (n = 1; n = 2 with g = 0), or a fault that
+    # only touches loop letters on a surface without them (g = 0)
+    for argv in (["-n", "1"], ["-n", "2", "-g", "0"], ["-n", "0"],
+                 ["-n", "3", "-g", "0", "--inject-fault"]):
+        code, out, err = run(["verify", "transport", *argv])
+        assert code == 2 and out == "" and err.startswith("error: transport "), argv
+    code, out, _ = run(["verify", "transport", "-n", "3", "-g", "0"])
+    assert code == 0 and "PASS (1 checks, 0 failures)" in out
+    for argv in (["-n", "3", "--inject-fault"], ["-n", "2", "-g", "1", "--inject-fault"]):
+        code, out, _ = run(["verify", "transport", *argv])
+        assert code == 1 and "FAIL" in out, argv

@@ -363,3 +363,60 @@ def test_tc_pure_subgroup_tables_validate(p):
 def test_tc_symmetric_8_closes_under_the_default_cap():
     table = todd_coxeter(symmetric_presentation(8), [])
     assert table.status == "closed" and table.coset_count == math.factorial(8)
+
+
+# --- tietze output, pinned ---------------------------------------------------
+
+# sha256 of "label: word\n" per relator after eliminating acceptance criterion
+# 8's band-then-loop order from the assembled extension (n, g, lh_bound), closed
+ELIMINATED_SHA256 = {
+    (3, 1, 1): "a37212cf72f397628fabe21ae3ea9fd02e75e8f273ab80d1e2c9dcaddc60a8ba",
+    (2, 2, 1): "d9ac42306ba5804d4258cf50151e9848a6a7b8c5810811d4db68698db374d746",
+    (4, 2, 2): "2945d2cd6059d0b9fb68ef44c9f38a747d7503cfa88e8d92267a4b4de87aa3d7",
+}
+
+
+@pytest.mark.parametrize("n, g, bound", sorted(ELIMINATED_SHA256))
+def test_eliminate_all_output_is_pinned(n, g, bound):
+    import hashlib
+    asm = assemble_extension(braid_extension_data(n, g, True, bound))
+    order = [band(i, j) for d in range(1, n) for i in range(1, n)
+             for j in range(i + 1, n + 1) if j - i == d]
+    order += [loop(i, r) for i in range(n, 1, -1) for r in range(1, 2 * g + 1)]
+    reduced = eliminate_all(asm, order)
+    text = "".join(f"{label}: {format_word(rel)}\n"
+                   for label, rel in zip(reduced.labels, reduced.relators))
+    assert hashlib.sha256(text.encode()).hexdigest() == ELIMINATED_SHA256[(n, g, bound)]
+
+
+@pytest.mark.parametrize("defining", [
+    "z x^-1 y^-1",   # first, e = +1
+    "z^-1 y x",      # first, e = -1
+    "x^-1 y^-1 z",   # last, e = +1
+    "y x z^-1",      # last, e = -1
+    "y^-1 z x^-1",   # inside, e = +1
+    "x z^-1 y",      # inside, e = -1
+])
+def test_tietze_isolated_letter_anywhere(defining):
+    # every defining relator says z = y x
+    x, y, z = atom("x"), atom("y"), atom("z")
+    rels = [parse_word(defining), parse_word("z z"), parse_word("z y^-1"),
+            parse_word("z^-1 x z"), parse_word("x y")]
+    p = Presentation("custom", 1, 0, None, None, (x, y, z), tuple(rels),
+                     ("def", "zz", "zy", "conj", "xy"))
+    out = tietze_eliminate(p, z, rels[0])
+    assert out.generators == (x, y)
+    assert out.labels == ("zz", "zy", "conj", "xy")
+    assert [format_word(w) for w in out.relators] == [
+        "y x y x", "y x y^-1", "x^-1 y^-1 x y x", "x y"]
+
+
+def test_tietze_replacement_cancels_around_the_letter():
+    # a z a^-1 = 1 makes z trivial: y x = a^-1 a cancels at the junction
+    a, z, y = atom("a"), atom("z"), atom("y")
+    defining = parse_word("a z a^-1")
+    p = Presentation("custom", 1, 0, None, None, (a, y, z),
+                     (parse_word("z y z"), defining, parse_word("z^2")), ("one", "def", "two"))
+    out = tietze_eliminate(p, z, defining)
+    assert out.labels == ("one",) and [format_word(w) for w in out.relators] == ["y"]
+    assert out.generators == (a, y)
