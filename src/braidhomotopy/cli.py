@@ -5,9 +5,11 @@ suites, ``reduce`` normalizes single words, ``tc`` enumerates cosets,
 ``h1`` computes abelianizations.  Exit codes: 0 success or pass, 1
 verification failure, 2 usage error, 3 resource overflow (a fixed cap,
 or memory or recursion depth running out).  Output is deterministic
-byte-for-byte.  Families with self-commutation relator streams need an
-explicit ``--lh-bound``; only the identity checks
-``verify eq31|eq32|transport`` default it to 3.
+byte-for-byte.  ``--output FILE`` gets stdout instead, written only on
+exit 0 or 1, so a failed command leaves FILE as it was.  Families with
+self-commutation relator streams need an explicit ``--lh-bound``; only
+``verify eq32`` reads it without a family, defaulting to 3.  ``reduce
+--step-cap`` must be >= 0 for every oracle; only ``dehornoy`` reads it.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from typing import BinaryIO
 
 from braidhomotopy import extension as ext
 from braidhomotopy import handles, magnus, presentations as pres, verify
-from braidhomotopy.perms import UnsupportedLetterError
-from braidhomotopy.words import (
-    AlphabetError,
-    ContextError,
-    ResourceLimitError,
-    format_word,
-    parse_word,
-)
+from braidhomotopy.words import ResourceLimitError, format_word, parse_word
 
 
 # family -> (the arguments it needs beyond -n, checked in this order; constructor)
@@ -72,7 +67,6 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--with-auxiliary", action="store_true",
                    help="include redundant generators with their defining relations")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--output", default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("check", choices=["purity", "eq31", "eq32", "transport", "a-expansion"])
@@ -81,7 +75,6 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one site on purpose; the suite must fail")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--output", default=None)
 
     p = sub.add_parser("reduce", help="reduce words / decide triviality")
     p.add_argument("words", nargs="*", help="words in the token grammar; without words "
@@ -93,7 +86,6 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("-g", type=int, default=None)
     p.add_argument("--step-cap", type=int, default=handles.DEFAULT_STEP_CAP)
     p.add_argument("--input", default=None, help="read words from a file, one per line")
-    p.add_argument("--output", default=None)
 
     p = sub.add_parser(
         "tc", help="Todd-Coxeter coset enumeration",
@@ -107,15 +99,15 @@ def _build_parser() -> _ArgumentParser:
                    help="extra subgroup generator (token grammar); repeatable")
     p.add_argument("--max-cosets", type=int, default=ext.DEFAULT_MAX_COSETS)
     p.add_argument("--table-out", default=None, help="dump the coset table as CSV")
-    p.add_argument("--output", default=None)
 
     p = sub.add_parser("h1", help="abelianization via Smith normal form")
     add_family_flags(p, required=False)
     p.add_argument("--input", default=None, help="presentation JSON instead of flags")
     p.add_argument("--expect", default=None,
                    help="fail (exit 1) unless the result equals this, e.g. 'Z^2 + Z/2'")
-    p.add_argument("--output", default=None)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None)
     return parser
 
 
@@ -175,6 +167,7 @@ def _cmd_verify(args, out, err) -> int:
 
 
 def _cmd_reduce(args, out, err) -> int:
+    handles.check_step_cap(args.step_cap)
     texts = list(args.words)
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -245,7 +238,6 @@ def run_command(argv: list[str], stdin: bytes | BinaryIO = b"") -> tuple[int, by
     out, err = io.StringIO(), io.StringIO()
     parser = _build_parser()
     code = 0
-    args = None
     try:
         args = parser.parse_args(argv, argparse.Namespace(stdin=stdin))
         command = {"pres": _cmd_pres, "verify": _cmd_verify, "reduce": _cmd_reduce,
@@ -257,14 +249,15 @@ def run_command(argv: list[str], stdin: bytes | BinaryIO = b"") -> tuple[int, by
     except (ResourceLimitError, MemoryError, RecursionError) as exc:
         err.write(f"resource limit: {str(exc) or type(exc).__name__}\n")
         code = 3
-    except (AlphabetError, ContextError, UnsupportedLetterError, ValueError) as exc:
+    except ValueError as exc:
         err.write(f"error: {exc}\n")
         code = 2
     except OSError as exc:
         err.write(f"i/o error: {exc}\n")
         code = 2
     text = out.getvalue()
-    if args is not None and getattr(args, "output", None):
+    # exits 0 and 1 come only from a parsed command; 2 and 3 leave --output as it was
+    if code in (0, 1) and args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)

@@ -65,13 +65,18 @@ def _open_positions(word: list[int], r: int) -> list[int]:
     return stack
 
 
+def check_step_cap(step_cap: int) -> None:
+    """Refuse a negative step cap; 0 allows no handle reduction."""
+    if step_cap < 0:
+        raise ValueError(f"step_cap must be >= 0, got {step_cap}")
+
+
 def handle_reduce(w: Word, step_cap: int = DEFAULT_STEP_CAP) -> Word:
     """Return a handle-free word equal to w in the braid group.
 
     ``step_cap`` (>= 0) bounds the number of handle reductions.
     """
-    if step_cap < 0:
-        raise ValueError(f"step_cap must be >= 0, got {step_cap}")
+    check_step_cap(step_cap)
     word = _signed_indices(w)
     stack: list[int] = []  # _open_positions(word, q), kept up to date
     q = steps = 0
