@@ -6,10 +6,24 @@ suites, ``reduce`` normalizes single words, ``tc`` enumerates cosets,
 verification failure, 2 usage error, 3 resource overflow (a fixed cap,
 or memory or recursion depth running out).  Output is deterministic
 byte-for-byte.  ``--output FILE`` gets stdout instead, written only on
-exit 0 or 1, so a failed command leaves FILE as it was.  Families with
-self-commutation relator streams need an explicit ``--lh-bound``; only
-``verify eq32`` reads it without a family, defaulting to 3.  ``reduce
---step-cap`` must be >= 0 for every oracle; only ``dehornoy`` reads it.
+exit 0 or 1, and ``tc --table-out FILE`` only on exit 0, so a failed
+command leaves FILE as it was.  ``reduce --step-cap`` must be >= 0 for
+every oracle; only ``dehornoy`` reads it.
+
+A flag a command does not read is a usage error.  ``pres``, ``tc``, ``h1``
+and ``verify purity`` read ``--family F -n N`` and F's flags below, all
+required but the bracketed ones, or ``--input`` alone (``h1``, ``purity``).
+Every ``verify`` check also reads ``--inject-fault`` and ``--format``.
+
+    surface                -g
+    quotient               -g --lh-bound
+    goldsmith              --lh-bound [-g 0]
+    symmetric              (none)
+    pure                   -g --closed|--punctured --lh-bound
+    homotopy               -g --closed|--punctured --lh-bound [--with-auxiliary, pres only]
+    verify eq31|transport  -n [-g, default 1]
+    verify eq32            -n [-g, default 1] [--lh-bound, default 3]
+    verify a-expansion     -n -g
 """
 
 from __future__ import annotations
@@ -23,19 +37,21 @@ from braidhomotopy import handles, magnus, presentations as pres, verify
 from braidhomotopy.words import ResourceLimitError, format_word, parse_word
 
 
-# family -> (the arguments it needs beyond -n, checked in this order; constructor)
+# family -> (flags it needs beyond -n, in checking order; other flags it takes; constructor)
 FAMILIES = {
-    "surface": (("g",), lambda a: pres.surface_braid_presentation(a.n, a.g)),
-    "homotopy": (("g", "closed", "lh_bound"), lambda a: pres.homotopy_generalized_presentation(
-        a.n, a.g, a.closed, a.lh_bound, with_auxiliary=getattr(a, "with_auxiliary", False))),
-    "goldsmith": (("lh_bound",), lambda a: pres.goldsmith_presentation(a.n, a.lh_bound)),
-    "pure": (("g", "closed", "lh_bound"),
+    "surface": (("g",), (), lambda a: pres.surface_braid_presentation(a.n, a.g)),
+    "homotopy": (("g", "closed", "lh_bound"), ("with_auxiliary",),
+                 lambda a: pres.homotopy_generalized_presentation(
+                     a.n, a.g, a.closed, a.lh_bound, bool(getattr(a, "with_auxiliary", None)))),
+    "goldsmith": (("lh_bound",), ("g",), lambda a: pres.goldsmith_presentation(a.n, a.lh_bound)),
+    "pure": (("g", "closed", "lh_bound"), (),
              lambda a: pres.pure_homotopy_presentation(a.n, a.g, a.closed, a.lh_bound)),
-    "symmetric": ((), lambda a: pres.symmetric_presentation(a.n)),
-    "quotient": (("g", "lh_bound"), lambda a: pres.homotopy_quotient(
+    "symmetric": ((), (), lambda a: pres.symmetric_presentation(a.n)),
+    "quotient": (("g", "lh_bound"), (), lambda a: pres.homotopy_quotient(
         pres.surface_braid_presentation(a.n, a.g), a.lh_bound)),
 }
 _NEEDS = {"g": "-g", "closed": "--closed or --punctured", "lh_bound": "an explicit --lh-bound"}
+_FLAGS = dict(_NEEDS, lh_bound="--lh-bound", with_auxiliary="--with-auxiliary")
 
 
 class _UsageError(Exception):
@@ -48,7 +64,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="braidhomotopy", description=__doc__)
+    parser = _ArgumentParser(prog="braidhomotopy", description=__doc__,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family_flags(p, required=True):
@@ -64,17 +81,25 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("pres", help="construct and print a presentation")
     add_family_flags(p)
-    p.add_argument("--with-auxiliary", action="store_true",
+    p.add_argument("--with-auxiliary", action="store_true", default=None,
                    help="include redundant generators with their defining relations")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("check", choices=["purity", "eq31", "eq32", "transport", "a-expansion"])
+    verify_parser = sub.add_parser("verify", help="run a verification suite")
+    checks = verify_parser.add_subparsers(dest="check", required=True)
+    p = checks.add_parser("purity")
     add_family_flags(p, required=False)
     p.add_argument("--input", default=None, help="verify a serialized presentation (JSON)")
-    p.add_argument("--inject-fault", action="store_true",
-                   help="corrupt one site on purpose; the suite must fail")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    for check in ("eq31", "eq32", "transport", "a-expansion"):
+        p = checks.add_parser(check)
+        p.add_argument("-n", type=int, required=True, help="number of strands")
+        p.add_argument("-g", type=int, default=1, required=check == "a-expansion")
+        if check == "eq32":
+            p.add_argument("--lh-bound", type=int, default=verify.DEFAULT_IDENTITY_BOUND)
+    for p in checks.choices.values():
+        p.add_argument("--inject-fault", action="store_true",
+                       help="corrupt one site on purpose; the suite must fail")
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("reduce", help="reduce words / decide triviality")
     p.add_argument("words", nargs="*", help="words in the token grammar; without words "
@@ -106,9 +131,13 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--expect", default=None,
                    help="fail (exit 1) unless the result equals this, e.g. 'Z^2 + Z/2'")
 
-    for p in sub.choices.values():
-        p.add_argument("--output", default=None)
+    for p in (*sub.choices.values(), *checks.choices.values()):
+        if p is not verify_parser:
+            p.add_argument("--output", default=None)
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _require(cond: bool, message: str) -> None:
@@ -117,9 +146,12 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _build_presentation(args) -> pres.Presentation:
-    needs, build = FAMILIES[args.family]
+    needs, takes, build = FAMILIES[args.family]
     _require(args.family != "goldsmith" or args.g in (None, 0),
              "goldsmith is the disk case; drop -g")
+    for name, flag in _FLAGS.items():
+        _require(name in needs + takes or getattr(args, name, None) is None,
+                 f"{args.family} takes no {flag}")
     for name in needs:
         _require(getattr(args, name) is not None, f"{args.family} needs {_NEEDS[name]}")
     return build(args)
@@ -136,6 +168,8 @@ def _cmd_pres(args, out, err) -> int:
 
 def _load_or_build(args) -> pres.Presentation:
     if args.input:
+        for name, flag in {"family": "--family", "n": "-n", **_FLAGS}.items():
+            _require(getattr(args, name, None) is None, f"--input takes no {flag}")
         with open(args.input, "r", encoding="utf-8") as fh:
             return pres.presentation_from_json(fh.read())
     _require(args.family is not None, "need --family or --input")
@@ -154,14 +188,12 @@ def _cmd_verify(args, out, err) -> int:
             p = p.with_relator("FAULT", fault)
         report = verify.purity_report(p)
     elif args.check == "a-expansion":
-        _require(args.n is not None and args.g is not None, "a-expansion needs -n and -g")
         report = verify.loop_expansion_comparison(args.n, args.g, fault=args.inject_fault)
+    elif args.check == "eq32":
+        report = verify.identity_check("eq32", args.n, args.g, args.lh_bound, args.inject_fault)
     else:
-        _require(args.n is not None, "identity checks need -n")
-        kind = {"eq31": "eq31", "eq32": "eq32", "transport": "lh_free_identity"}[args.check]
-        bound = verify.DEFAULT_IDENTITY_BOUND if args.lh_bound is None else args.lh_bound
-        report = verify.identity_check(kind, args.n, 1 if args.g is None else args.g, bound,
-                                       fault=args.inject_fault)
+        kind = {"eq31": "eq31", "transport": "lh_free_identity"}[args.check]
+        report = verify.identity_check(kind, args.n, args.g, fault=args.inject_fault)
     out.write(report.to_json() if args.format == "json" else report.to_text())
     return 0 if report.passed else 1
 
@@ -199,19 +231,15 @@ def _cmd_tc(args, out, err) -> int:
     subgroup = []
     if args.subgroup == "pure":
         _require(p.g is not None and p.g >= 1, "--subgroup pure needs a surface family")
-        n, g = p.n, p.g
-        subgroup += [pres.expand_a(i, r, n, g) for i in range(1, n + 1)
-                     for r in range(1, 2 * g + 1)]
-        subgroup += [pres.expand_t(i, j, n, g) for i in range(1, n)
-                     for j in range(i + 1, n + 1)]
+        subgroup += [pres.expand_gen(gen, p.n, p.g) for gen in pres.pure_generators(p.n, p.g)]
     subgroup += [parse_word(t, p.n, p.g) for t in args.subgroup_word]
     table = ext.todd_coxeter(p, subgroup, args.max_cosets)
-    if args.table_out:
-        with open(args.table_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(table.to_csv())
     if table.status == "overflow":
         err.write(f"overflow after {args.max_cosets} cosets ({table.coset_count} live)\n")
         return 3
+    if args.table_out:
+        with open(args.table_out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(table.to_csv())
     out.write(f"{table.coset_count}\n")
     return 0
 
@@ -236,10 +264,9 @@ def run_command(argv: list[str], stdin: bytes | BinaryIO = b"") -> tuple[int, by
     import io
 
     out, err = io.StringIO(), io.StringIO()
-    parser = _build_parser()
     code = 0
     try:
-        args = parser.parse_args(argv, argparse.Namespace(stdin=stdin))
+        args = _PARSER.parse_args(argv, argparse.Namespace(stdin=stdin))
         command = {"pres": _cmd_pres, "verify": _cmd_verify, "reduce": _cmd_reduce,
                    "tc": _cmd_tc, "h1": _cmd_h1}[args.command]
         code = command(args, out, err)

@@ -484,9 +484,14 @@ def pure_homotopy_presentation(n: int, g: int, closed: bool, lh_bound: int) -> P
         tail = concat(_loops(j, up, 1, n, g), _loops(j, up, -1, n, g))
         rels.append((f"PR8[j={j}]", _rel(T(j, n), concat_all(factors + [tail]))))
 
-    gens = [loop(i, r) for i in range(1, n + 1) for r in up] + [band(i, j) for i, j in pairs]
     fams = [RelatorFamily("LH1", n, g, i, lh_bound) for i in range(1, n)]
-    return _presentation("pure", n, g, closed, lh_bound, gens, rels, fams)
+    return _presentation("pure", n, g, closed, lh_bound, pure_generators(n, g), rels, fams)
+
+
+def pure_generators(n: int, g: int) -> list[Gen]:
+    """The loops a_{i,r}, then the bands t_{i,j}: generators of the pure group."""
+    return [loop(i, r) for i in range(1, n + 1) for r in range(1, 2 * g + 1)] + \
+        [band(i, j) for i, j in _pairs(n)]
 
 
 def symmetric_presentation(n: int) -> Presentation:
