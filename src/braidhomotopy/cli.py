@@ -58,9 +58,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):  # -h/--help: the help is the command's stdout
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> _ArgumentParser:
@@ -270,6 +277,8 @@ def run_command(argv: list[str], stdin: bytes | BinaryIO = b"") -> tuple[int, by
         command = {"pres": _cmd_pres, "verify": _cmd_verify, "reduce": _cmd_reduce,
                    "tc": _cmd_tc, "h1": _cmd_h1}[args.command]
         code = command(args, out, err)
+    except _HelpRequested as exc:
+        return 0, str(exc).encode("utf-8"), b""
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         code = 2

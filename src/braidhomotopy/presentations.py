@@ -190,10 +190,9 @@ class RelatorFamily:
                 t_inv = inverse_codes(t)
                 head = f"LH[j={j},h=" if self.kind == "LH" else f"{self.kind}[i={i},j={j},h="
                 for tag, hw, hw_inv in conjugators:
-                    # t hw t hw^-1 t^-1 hw t^-1 hw^-1 = [t, hw t hw^-1], one pass
-                    rel = t
-                    for part in (hw, t, hw_inv, t_inv, hw, t_inv, hw_inv):
-                        rel = join_codes(rel, part)
+                    # [t, x] = t x t^-1 x^-1 with x = hw t hw^-1
+                    x = join_codes(join_codes(hw, t), hw_inv)
+                    rel = join_codes(join_codes(join_codes(t, x), t_inv), inverse_codes(x))
                     if rel:
                         yield head + tag + "]", Word.from_codes(rel, ctx)
 

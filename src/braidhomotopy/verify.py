@@ -18,7 +18,14 @@ from typing import Sequence
 
 from braidhomotopy import extension
 from braidhomotopy.handles import is_trivial_braid
-from braidhomotopy.perms import Permutation, to_cycles, transposition, word_permutation
+from braidhomotopy.perms import (
+    TABLE_MAX_N,
+    Permutation,
+    PermutationTable,
+    to_cycles,
+    transposition,
+    word_permutation,
+)
 from braidhomotopy.presentations import (
     Presentation,
     RelatorFamily,
@@ -219,14 +226,21 @@ def _atom_images(p: Presentation) -> dict[Gen, Permutation] | None:
 
 
 def purity_report(p: Presentation, bound: int | None = None) -> Report:
-    """Check that every relator induces the trivial strand permutation."""
+    """Check that every relator induces the trivial strand permutation.
+
+    Up to ``TABLE_MAX_N`` strands one ``PermutationTable`` walks every
+    relator; above it each is walked letter by letter."""
     images = _atom_images(p)
+    table = PermutationTable(p.n, images) if p.n <= TABLE_MAX_N else None
     records = []
     for label, rel in p.iter_relators(bound):
-        perm = word_permutation(rel, p.n, images)
-        ok = perm.is_identity()
+        if table is None:
+            got, identity = word_permutation(rel, p.n, images).images, tuple(range(1, p.n + 1))
+        else:
+            got, identity = table.images(rel), table.identity.images
+        ok = got == identity
         records.append(CheckRecord(label, "permutation", ok,
-                                   "" if ok else to_cycles(perm)))
+                                   "" if ok else to_cycles(Permutation(got))))
     return Report.build(f"purity {p.family} n={p.n} g={p.g}", records)
 
 

@@ -261,7 +261,9 @@ class Word:
 
 
 def _init(w: Word, codes: tuple[int, ...], context) -> None:
-    if context is not None and all(_GENS[abs(c)].kind == "x" for c in codes):
+    # a typed first letter settles it without the scan
+    if context is not None and (not codes or _GENS[abs(codes[0])].kind == "x") and all(
+            _GENS[abs(c)].kind == "x" for c in codes):
         context = None  # atom-only words are context-free; normalize for equality
     object.__setattr__(w, "codes", codes)
     object.__setattr__(w, "context", context)

@@ -5,7 +5,9 @@ import re
 import subprocess
 import sys
 
-from braidhomotopy.cli import run_command
+import pytest
+
+from braidhomotopy.cli import main, run_command
 from braidhomotopy.presentations import presentation_from_json, presentation_to_json
 
 
@@ -277,3 +279,22 @@ def test_verify_transport_refuses_to_pass_vacuously():
     for argv in (["-n", "3", "--inject-fault"], ["-n", "2", "-g", "1", "--inject-fault"]):
         code, out, _ = run(["verify", "transport", *argv])
         assert code == 1 and "FAIL" in out, argv
+
+
+HELP = [(["-h"], "usage: braidhomotopy [-h] {pres,verify,reduce,tc,h1}"),
+        (["verify", "--help"], "usage: braidhomotopy verify [-h] {purity,"),
+        (["verify", "eq31", "-h"], "usage: braidhomotopy verify eq31 [-h] -n N")]
+
+
+@pytest.mark.parametrize("argv,usage", HELP, ids=[" ".join(h[0]) for h in HELP])
+def test_help_is_returned_as_stdout_with_exit_zero(argv, usage):
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(usage) and "show this help message and exit" in out
+
+
+def test_main_prints_the_help(capsysbinary):
+    assert main(["verify", "eq31", "-h"]) == 0
+    captured = capsysbinary.readouterr()
+    assert (captured.out, captured.err) == run_command(["verify", "eq31", "-h"])[1:]
+    assert captured.out.startswith(b"usage: braidhomotopy verify eq31")

@@ -47,6 +47,24 @@ PRES = [
 PURITY = ("verify purity --family homotopy -n 3 -g 1 --closed --lh-bound 2",
           "364c1783f80d53ef410d66d5746c4916a2bc523856cb2cb682982179895e56e4")
 
+# Purity reports recorded before relators were walked through a strand-
+# permutation transition table.  Each entry: argv, exit code, text digest,
+# JSON digest; the ``--inject-fault`` run fails on purpose and exits 1.
+PURITY_REPORTS = [
+    ("verify purity --family homotopy -n 3 -g 1 --closed --lh-bound 1 --inject-fault", 1,
+     "f55648f2be07e62a4127ae039d9f831959b6894a4099798da0c152216dc2a021",
+     "b58293b706049dfabe7242148a85dbf8355ce86985728233ddc953cbfab9bf6e"),
+    ("verify purity --family symmetric -n 5", 0,
+     "a767f65055249c7742f87febb02ec8609eb4ed07f20ecf3a927602c751c859c6",
+     "d4690eb36f99fda67b7447c0671fb9bd3d54c2a6ef77e33d203b2a46ff6bb10b"),
+    ("verify purity --family quotient -n 3 -g 1 --lh-bound 2", 0,
+     "07fc84292d02198c826baa4b9e38f793bf4bbf0520b80650751e34f6ad23aefd",
+     "a10f5e53ed605b3aceee345b38d575f0aec81dd8afeeed849e45cf00dead3263"),
+    ("verify purity --family goldsmith -n 4 --lh-bound 2", 0,
+     "1bec19eb631cd667a0c3d016dbf7cf4f3fca226b85dde882b325f0c77501d6c2",
+     "dab32ab6f51824c22c0017b114aef9e935fb0fea2b236f6292c6f8d46af8e307"),
+]
+
 
 def _digest(argv: str, code: int = 0) -> str:
     got, out, err = run_command(argv.split())
@@ -63,6 +81,13 @@ def test_pres_golden(flags, text_sha, json_sha):
 def test_purity_golden():
     argv, sha = PURITY
     assert _digest(argv) == sha
+
+
+@pytest.mark.parametrize("argv,code,text_sha,json_sha", PURITY_REPORTS,
+                         ids=[v[0] for v in PURITY_REPORTS])
+def test_purity_report_golden(argv, code, text_sha, json_sha):
+    assert _digest(f"{argv} --format text", code) == text_sha
+    assert _digest(f"{argv} --format json", code) == json_sha
 
 
 # Identity-check reports, recorded before the relation builders of

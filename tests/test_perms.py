@@ -17,7 +17,7 @@ from braidhomotopy.perms import (
     word_permutation,
 )
 from braidhomotopy.presentations import expand_t
-from braidhomotopy.words import concat, free_reduce, invert, parse_word, sigma
+from braidhomotopy.words import atom, concat, free_reduce, invert, parse_word, sigma
 
 
 def test_compose_identity_and_involution():
@@ -45,6 +45,13 @@ def test_word_permutation_examples():
 def test_word_permutation_rejects_atoms():
     with pytest.raises(UnsupportedLetterError):
         word_permutation(parse_word("x"), 3)
+
+
+def test_inverse_atom_letter_maps_to_the_inverse_image():
+    x = {atom("x"): parse_cycles("(1 2 3)", 3)}
+    assert to_cycles(word_permutation(parse_word("x"), 3, x)) == "(1 2 3)"
+    assert to_cycles(word_permutation(parse_word("x^-1"), 3, x)) == "(1 3 2)"
+    assert to_cycles(word_permutation(parse_word("x^-1 s1", 3), 3, x)) == "(2 3)"
 
 
 def test_is_pure_examples():
