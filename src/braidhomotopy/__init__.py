@@ -28,8 +28,6 @@ from braidhomotopy.presentations import (
     pure_homotopy_presentation,
     symmetric_presentation,
     homotopy_quotient,
-    lh_relators,
-    hn_generators,
     expand_t,
     expand_a,
 )
@@ -53,7 +51,7 @@ __all__ = [
     "surface_braid_presentation", "homotopy_generalized_presentation",
     "goldsmith_presentation", "pure_homotopy_presentation",
     "symmetric_presentation", "homotopy_quotient",
-    "lh_relators", "hn_generators", "expand_t", "expand_a",
+    "expand_t", "expand_a",
     "handle_reduce", "is_trivial_braid", "braid_compare",
     "magnus_image", "is_rf_trivial", "mu_coefficient",
     "h1", "purity_report", "identity_check", "smith_normal_form",

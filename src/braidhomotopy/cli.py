@@ -34,7 +34,7 @@ from typing import BinaryIO
 
 from braidhomotopy import extension as ext
 from braidhomotopy import handles, magnus, presentations as pres, verify
-from braidhomotopy.words import ResourceLimitError, format_word, parse_word
+from braidhomotopy.words import ResourceLimitError, format_word, gen_word, parse_word
 
 
 # family -> (flags it needs beyond -n, in checking order; other flags it takes; constructor)
@@ -191,8 +191,7 @@ def _cmd_verify(args, out, err) -> int:
             crossing = next((gen for gen in p.generators if gen.kind == "s"), None)
             _require(crossing is not None,
                      "purity fault injection needs a crossing generator")
-            fault = pres.Word(((crossing, 1),), (p.n, p.g))
-            p = p.with_relator("FAULT", fault)
+            p = p.with_relator("FAULT", gen_word(crossing, p.n, p.g))
         report = verify.purity_report(p)
     elif args.check == "a-expansion":
         report = verify.loop_expansion_comparison(args.n, args.g, fault=args.inject_fault)

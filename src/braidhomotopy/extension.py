@@ -190,13 +190,9 @@ def braid_extension_data(n: int, g: int, closed: bool, lh_bound: int) -> Extensi
     kernel = pure_homotopy_presentation(n, g, closed, lh_bound)
     quotient = symmetric_presentation(n)
     lifts = {y: sigma(idx + 1) for idx, y in enumerate(quotient.generators)}
-    rel_words: dict[str, Word] = {}
-    for label in quotient.labels:
-        if label.startswith("SR3"):
-            i = int(label.split("i=")[1].rstrip("]"))
-            rel_words[label] = gen_word(band(i, i + 1), n, g)
-        else:
-            rel_words[label] = Word((), (n, g))
+    rel_words = {label: Word((), (n, g)) for label in quotient.labels}
+    for i in range(1, n):
+        rel_words[f"SR3[i={i}]"] = gen_word(band(i, i + 1), n, g)
     conj_words: dict[tuple[Gen, Gen], Word] = {}
     for idx, y in enumerate(quotient.generators):
         for x in kernel.generators:
@@ -368,8 +364,8 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
         raise ValueError("max_cosets must be >= 1")
     gens = p.generators
     columns = _columns(gens)
-    finite = [_word_columns(w, columns) for w in p.relators]
-    families = [_word_columns(w, columns) for fam in p.families for _, w in fam.instances()]
+    relators = [_word_columns(w, columns) for _, w in p.iter_relators()]
+    finite, families = relators[:len(p.relators)], relators[len(p.relators):]
     subgroup_cols = [_word_columns(w, columns) for w in subgroup]
     if families:
         table = _enumerate(gens, finite, subgroup_cols, max_cosets)

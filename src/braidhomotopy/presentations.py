@@ -26,8 +26,8 @@ Each relation is stated once, by shared builders:
     _pairs              the strand pairs i < j (band generators, R9, PR2-PR7)
     _presentation       the one constructor behind every family and the JSON reader
 
-Every truncation bound is checked by ``_check_bound``, where it is stored
-(``RelatorFamily``, ``Presentation``) and where ``instances`` is given one.
+Every truncation bound is checked by ``_check_bound`` where it is stored
+(``RelatorFamily``, ``Presentation``); a family streams at its own bound only.
 A strand with more than ``MAX_CONJUGATORS`` conjugators up to its bound
 raises ResourceLimitError before any conjugator is built.
 """
@@ -140,7 +140,8 @@ class RelatorFamily:
                  letters (pure string-link groups).
 
     ``strand`` fixes i for LH/LH1; 0 means all strands (HN).  ``bound``
-    is the default shortlex truncation for the conjugator h.
+    is the shortlex truncation for the conjugator h; a stream at another
+    bound is that of ``dataclasses.replace(fam, bound=b)``.
 
     Stream order contract: strand i ascending, then j ascending, then h
     in the order of ``enumerate_shortlex(strand_basis(i), bound)``.
@@ -165,29 +166,32 @@ class RelatorFamily:
         bands = tuple(band(i, m) for m in range(i + 1, self.n + 1))
         return loops + bands
 
-    def _letter_image(self, gen: Gen) -> Word:
-        """A strand-basis letter as the relators spell it (expanded unless LH1)."""
-        if self.kind == "LH1":
-            return gen_word(gen, self.n, self.g)
-        return expand_gen(gen, self.n, self.g)
+    def _strands(self) -> range:
+        """The strands i the family ranges over: 1..n-1 for HN, else its own."""
+        return range(1, self.n) if self.kind == "HN" else range(self.strand, self.strand + 1)
+
+    @lru_cache(maxsize=None)
+    def _images(self, i: int) -> dict[int, tuple[int, ...]]:
+        """The codes of each strand-i basis letter and of its inverse, by signed
+        letter code, as the relators spell them (expanded unless LH1); built
+        once per family and strand, read by the stream and by ``alphabet``."""
+        spell = gen_word if self.kind == "LH1" else expand_gen
+        return image_table(map(code, self.strand_basis(i)),
+                           lambda gen: spell(gen, self.n, self.g))[0]
 
     def alphabet(self) -> set[Gen]:
         """Every symbol the relators can use: the letters of each strand basis's images."""
-        strands = range(1, self.n) if self.kind == "HN" else [self.strand]
-        return {symbol(c) for i in strands for gen in self.strand_basis(i)
-                for c in self._letter_image(gen).codes}
+        return {symbol(c) for i in self._strands() for rep in self._images(i).values()
+                for c in rep}
 
-    def instances(self, bound: int | None = None) -> Iterator[tuple[str, Word]]:
-        """Yield (label, relator) pairs, skipping freely trivial instances."""
-        bound = self.bound if bound is None else bound
-        _check_bound(bound)
+    def instances(self) -> Iterator[tuple[str, Word]]:
+        """Yield (label, relator) pairs up to the family's bound, skipping
+        freely trivial instances."""
         n, ctx = self.n, (self.n, self.g)
-        strands = range(1, n) if self.kind == "HN" else [self.strand]
-        for i in strands:
-            conjugators = self.conjugators(i, bound)
+        for i in self._strands():
+            conjugators, images = self.conjugators(i), self._images(i)
             for j in range(i + 1, n + 1):
-                t = self._letter_image(band(i, j)).codes
-                t_inv = inverse_codes(t)
+                t, t_inv = images[code(band(i, j))], images[-code(band(i, j))]
                 head = f"LH[j={j},h=" if self.kind == "LH" else f"{self.kind}[i={i},j={j},h="
                 for tag, hw, hw_inv in conjugators:
                     # [t, x] = t x t^-1 x^-1 with x = hw t hw^-1
@@ -196,13 +200,12 @@ class RelatorFamily:
                     if rel:
                         yield head + tag + "]", Word.from_codes(rel, ctx)
 
-    def conjugators(self, i: int, bound: int | None = None) -> list[tuple[str, tuple, tuple]]:
+    def conjugators(self, i: int) -> list[tuple[str, tuple, tuple]]:
         """(label tag, expansion codes, inverse codes) per conjugator h of strand i,
-        in stream order up to ``bound`` (default: the family's); each
-        expansion extends its parent prefix's.  More than ``MAX_CONJUGATORS``
-        of them raise ResourceLimitError before any is built."""
-        n, g = self.n, self.g
-        bound = self.bound if bound is None else bound
+        in stream order up to the family's bound; each expansion extends its
+        parent prefix's.  More than ``MAX_CONJUGATORS`` of them raise
+        ResourceLimitError before any is built."""
+        n, g, bound = self.n, self.g, self.bound
         basis = self.strand_basis(i)
         # a nonempty basis has at least 1 + 2 * bound conjugators, so a bound
         # above the cap is over it already and need not enter the power
@@ -210,7 +213,7 @@ class RelatorFamily:
             raise ResourceLimitError(
                 f"relator family {self.kind} (strand {i}) has more than {MAX_CONJUGATORS} "
                 f"conjugators up to bound {bound}")
-        image, _ = image_table(map(code, basis), self._letter_image)
+        image = self._images(i)
         expansion: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
         out = []
         for h in enumerate_shortlex(basis, bound, n, g):
@@ -292,18 +295,16 @@ class Presentation:
                 raise ValueError(f"relator family {fam.kind} (strand {fam.strand}) "
                                  f"uses non-generator {bad}")
 
-    def iter_relators(self, bound: int | None = None) -> Iterator[tuple[str, Word]]:
-        """Stream the finite relators, then the family instances at the given bound."""
+    def iter_relators(self) -> Iterator[tuple[str, Word]]:
+        """Stream the finite relators, then each family's instances at its bound:
+        the one reader of ``RelatorFamily.instances``."""
         yield from zip(self.labels, self.relators)
         for fam in self.families:
-            yield from fam.instances(bound)
+            yield from fam.instances()
 
     def labeled_relators(self) -> list[tuple[str, Word]]:
         """``iter_relators`` as a list."""
         return list(self.iter_relators())
-
-    def all_relators(self) -> list[Word]:
-        return [rel for _, rel in self.iter_relators()]
 
     def with_relator(self, label: str, rel: Word) -> "Presentation":
         return replace(self, relators=self.relators + (rel,), labels=self.labels + (label,))
@@ -511,16 +512,6 @@ def homotopy_quotient(p: Presentation, lh_bound: int) -> Presentation:
         raise ValueError(f"homotopy_quotient expects a surface presentation, got {p.family!r}")
     fam = RelatorFamily("HN", p.n, p.g, 0, lh_bound)
     return replace(p, family="quotient", lh_bound=lh_bound, families=p.families + (fam,))
-
-
-def lh_relators(n: int, g: int, lh_bound: int) -> Iterator[Word]:
-    """Stream of emitted LH relators [t_{1,j}, t_{1,j}^h] in crossing/loop letters."""
-    return (rel for _, rel in RelatorFamily("LH", n, g, 1, lh_bound).instances())
-
-
-def hn_generators(n: int, g: int, lh_bound: int) -> Iterator[Word]:
-    """Stream of normal generators [t_{i,j}, t_{i,j}^h] over every strand i."""
-    return (rel for _, rel in RelatorFamily("HN", n, g, 0, lh_bound).instances())
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def _atom_images(p: Presentation) -> dict[Gen, Permutation] | None:
     return {atom(f"d{i}"): transposition(p.n, i) for i in range(1, p.n)}
 
 
-def purity_report(p: Presentation, bound: int | None = None) -> Report:
+def purity_report(p: Presentation) -> Report:
     """Check that every relator induces the trivial strand permutation.
 
     Up to ``TABLE_MAX_N`` strands one ``PermutationTable`` walks every
@@ -233,7 +233,7 @@ def purity_report(p: Presentation, bound: int | None = None) -> Report:
     images = _atom_images(p)
     table = PermutationTable(p.n, images) if p.n <= TABLE_MAX_N else None
     records = []
-    for label, rel in p.iter_relators(bound):
+    for label, rel in p.iter_relators():
         if table is None:
             got, identity = word_permutation(rel, p.n, images).images, tuple(range(1, p.n + 1))
         else:

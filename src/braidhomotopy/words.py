@@ -286,6 +286,11 @@ def _checked(codes: tuple[int, ...], context) -> Word:
 EPSILON = Word()
 
 
+def _context(n: int | None, g: int | None) -> tuple[int, int] | None:
+    """The context of a builder's ``n`` and ``g``: none without ``n``, genus 0 without ``g``."""
+    return None if n is None else (n, 0 if g is None else g)
+
+
 def free_reduce(letters: Iterable[tuple[Gen, int]], n: int | None = None,
                 g: int | None = None) -> Word:
     """Freely reduce a raw letter sequence into a Word.
@@ -293,7 +298,7 @@ def free_reduce(letters: Iterable[tuple[Gen, int]], n: int | None = None,
     The result has no adjacent cancelling pair and equals the input in
     the free group.  Typed letters require ``n`` (and ``g`` for loops).
     """
-    return Word(letters, None if n is None else (n, 0 if g is None else g))
+    return Word(letters, _context(n, g))
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -352,9 +357,8 @@ def substitute(w: Word, image: Callable[[Gen], Word]) -> Word:
 def gen_word(gen: Gen, n: int | None = None, g: int | None = None,
              e: int = 1) -> Word:
     """Single-generator word gen^e."""
-    context = None if n is None else (n, 0 if g is None else g)
     c = code(gen)
-    return _checked((c if e > 0 else -c,) * abs(e), context)
+    return _checked((c if e > 0 else -c,) * abs(e), _context(n, g))
 
 
 def enumerate_shortlex(basis: Sequence[Gen], max_len: int,
@@ -366,7 +370,7 @@ def enumerate_shortlex(basis: Sequence[Gen], max_len: int,
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    context = None if n is None else (n, 0 if g is None else g)
+    context = _context(n, g)
     codes = [code(b) for b in basis]
     _checked_context(codes, context)
     alphabet = codes + [-c for c in codes]
@@ -424,7 +428,7 @@ def parse_word(text: str, n: int | None = None, g: int | None = None) -> Word:
     so hostile input cannot grow the cache.  Letters are freely reduced
     onto a stack as they are read, in one pass.
     """
-    context = None if n is None else (n, 0 if g is None else g)
+    context = _context(n, g)
     stack: list[int] = []
     push, pop, cached = stack.append, stack.pop, _TOKENS.get
     total = 0  # letters read, before reduction

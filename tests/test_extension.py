@@ -256,7 +256,7 @@ def test_tc_adding_relators_never_increases_count():
 def test_tc_closed_table_is_consistent_action():
     p = symmetric_presentation(3)
     table = todd_coxeter(p, [])
-    rels = [word_to_columns(w, p.generators) for w in p.all_relators()]
+    rels = [word_to_columns(w, p.generators) for _, w in p.iter_relators()]
     assert table.validate(rels, [])
 
 

@@ -11,10 +11,8 @@ from braidhomotopy.presentations import (
     expand_t,
     expand_T_cap,
     goldsmith_presentation,
-    hn_generators,
     homotopy_generalized_presentation,
     homotopy_quotient,
-    lh_relators,
     parse_relator_lines,
     presentation_from_json,
     presentation_to_json,
@@ -113,7 +111,7 @@ def test_lh_skips_self_conjugators():
 
 
 def test_lh_bound_zero_empty():
-    assert list(lh_relators(2, 1, 0)) == []
+    assert list(RelatorFamily("LH", 2, 1, 1, 0).instances()) == []
 
 
 def test_lh_instance_nonempty():
@@ -123,7 +121,7 @@ def test_lh_instance_nonempty():
 
 def test_lh_relators_all_pure():
     for n, g in [(3, 1), (4, 2)]:
-        for rel in lh_relators(n, g, 1):
+        for _, rel in RelatorFamily("LH", n, g, 1, 1).instances():
             assert is_pure(rel, n)
 
 
@@ -161,7 +159,7 @@ def test_with_auxiliary_form():
 def test_goldsmith_two_strands_trivial():
     p = goldsmith_presentation(2, 4)
     assert len(p.generators) == 1
-    assert len(p.all_relators()) == 0
+    assert len([w for _, w in p.iter_relators()]) == 0
 
 
 def test_goldsmith_three_strands():
@@ -240,7 +238,7 @@ def test_symmetric_small():
 def test_quotient_bound_zero_keeps_relators():
     p = surface_braid_presentation(3, 1)
     q = homotopy_quotient(p, 0)
-    assert q.all_relators() == p.all_relators()
+    assert [w for _, w in q.iter_relators()] == [w for _, w in p.iter_relators()]
 
 
 def test_quotient_requires_surface_family():
@@ -255,7 +253,7 @@ def test_hn_covers_both_strands():
 
 
 def test_hn_generators_pure():
-    for rel in hn_generators(3, 1, 1):
+    for _, rel in RelatorFamily("HN", 3, 1, 0, 1).instances():
         assert is_pure(rel, 3)
 
 

@@ -192,9 +192,8 @@ def test_purity_fault_witness():
 
 
 def test_purity_stable_under_bound_increase():
-    p = homotopy_generalized_presentation(3, 1, True, 0)
     for bound in (0, 1, 2):
-        rep = purity_report(p, bound)
+        rep = purity_report(homotopy_generalized_presentation(3, 1, True, bound))
         assert rep.passed
 
 
