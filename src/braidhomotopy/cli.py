@@ -236,7 +236,8 @@ def _cmd_tc(args, out, err) -> int:
     p = _build_presentation(args)
     subgroup = []
     if args.subgroup == "pure":
-        _require(p.g is not None and p.g >= 1, "--subgroup pure needs a surface family")
+        _require(args.family not in ("symmetric", "pure"),
+                 "--subgroup pure is spelled in crossings, which symmetric and pure lack")
         subgroup += [pres.expand_gen(gen, p.n, p.g) for gen in pres.pure_generators(p.n, p.g)]
     subgroup += [parse_word(t, p.n, p.g) for t in args.subgroup_word]
     table = ext.todd_coxeter(p, subgroup, args.max_cosets)

@@ -285,7 +285,10 @@ class CosetTable:
 
     def fixes(self, words: Sequence[list[int]], cosets: Sequence[int] | None = None) -> bool:
         """Whether every word, given as columns, leads each of the cosets
-        (default: all) back to itself.  Needs a complete table.
+        (default: all) back to itself.  Needs a complete table.  A closed
+        table is the action on the cosets of the subgroup, which is the
+        stabilizer of coset 1: ``cosets=[0]`` asks whether each word lies in
+        the subgroup, and the default whether it acts trivially.
 
         Each row becomes a list of the rows it leads to, so a trace is one
         ``reduce(getitem, word, row)`` that runs at C speed.
@@ -354,11 +357,15 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     finite relators alone.  If that table closes and every family relator
     fixes every coset, the families lie in the core of the subgroup, so
     the table is one for the whole presentation and its count is the
-    index.  Otherwise (the first stage overflows, or a family relator
-    moves a coset) the enumeration reruns from scratch over all relators,
-    finite ones first.  So every overflow, and every index the one-stage
-    enumeration reaches, stays as it was; the first stage may also close
-    where that one overflows, and its table may number cosets differently.
+    index.  When the subgroup words themselves fix every coset, the
+    subgroup is that core (it is normal), and a family relator is traced
+    from coset 1 alone.  Otherwise (the first stage overflows, or a family
+    relator moves a coset) the enumeration reruns from scratch over all
+    relators, finite ones first, so an overflowing first stage costs a
+    second full enumeration.  So every overflow, and every index the
+    one-stage enumeration reaches, stays as it was; the first stage may
+    also close where that one overflows, and its table may number cosets
+    differently.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
@@ -369,8 +376,13 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     subgroup_cols = [_word_columns(w, columns) for w in subgroup]
     if families:
         table = _enumerate(gens, finite, subgroup_cols, max_cosets)
-        if table.status == "closed" and table.fixes(families):
-            return table
+        if table.status == "closed":
+            # If the subgroup H fixes every coset, H <= the kernel of the
+            # action <= Stab(1) = H, so the kernel is H; then a word fixes
+            # every coset iff it lies in the kernel = H iff it fixes coset 1.
+            starts = [0] if table.fixes(subgroup_cols) else None
+            if table.fixes(families, starts):
+                return table
     return _enumerate(gens, finite + families, subgroup_cols, max_cosets)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -199,6 +200,22 @@ def test_tc_uses_the_coincidence_a_deduction_finds():
     code, out, err = run(["tc", "--family", "surface", "-n", "4", "-g", "2",
                           "--subgroup", "pure", "--max-cosets", "164"])
     assert (code, out, err) == (0, "24\n", "")
+
+
+@pytest.mark.parametrize("n,bound", [(n, bound) for n in (3, 4, 5) for bound in (1, 2)])
+def test_tc_pure_subgroup_of_goldsmith_has_index_n_factorial(n, bound):
+    # the disk case: P_n is spelled through the bands t_{i,j} alone
+    code, out, err = run(["tc", "--family", "goldsmith", "-n", str(n), "--lh-bound", str(bound),
+                          "--subgroup", "pure"])
+    assert (code, out, err) == (0, f"{math.factorial(n)}\n", "")
+
+
+@pytest.mark.parametrize("flags", [["symmetric", "-n", "3"],
+                                   ["pure", "-n", "2", "-g", "1", "--punctured", "--lh-bound", "1"]])
+def test_tc_pure_subgroup_needs_crossing_letters(flags):
+    assert run(["tc", "--family", *flags, "--subgroup", "pure"]) == (
+        2, "", "usage error: --subgroup pure is spelled in crossings, "
+               "which symmetric and pure lack\n")
 
 
 def test_verify_genus_flag():

@@ -2,10 +2,12 @@
 
 ``todd_coxeter`` first enumerates over the finite relators alone.  If that
 table closes and every family relator fixes every coset, it is returned;
-otherwise the enumeration reruns over all relators.  These tests compare
-it with the one-stage enumeration (the families inlined as finite
-relators), pin each route through the stages, and check the case only
-the staged enumeration closes under the default cap.
+otherwise the enumeration reruns over all relators.  When the subgroup
+words fix every coset the subgroup is normal, and the families are traced
+from coset 1 alone.  These tests compare it with the one-stage
+enumeration (the families inlined as finite relators) and with the rule
+that traces every coset, pin each route through the stages, and check
+the case only the staged enumeration closes under the default cap.
 """
 
 import itertools
@@ -30,6 +32,7 @@ from braidhomotopy.presentations import (
     homotopy_quotient,
     pure_homotopy_presentation,
     surface_braid_presentation,
+    symmetric_presentation,
 )
 from braidhomotopy.words import atom, parse_word
 
@@ -146,3 +149,76 @@ def test_the_staged_enumeration_closes_where_the_one_stage_one_overflows():
                            "-n", "5", "-g", "2", "--closed", "--lh-bound", "2",
                            "--subgroup", "pure"], capture_output=True, env=env, timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"120\n", b"")
+
+
+def _rule_without_the_core(p, subgroup, max_cosets=extension.DEFAULT_MAX_COSETS):
+    """Reference: the first stage is kept only if every family relator
+    fixes every coset, with no shortcut for a normal subgroup."""
+    gens = p.generators
+    rels = [word_to_columns(w, gens) for _, w in p.iter_relators()]
+    finite, families = rels[:len(p.relators)], rels[len(p.relators):]
+    sub = [word_to_columns(w, gens) for w in subgroup]
+    table = extension._enumerate(gens, finite, sub, max_cosets)
+    if table.status == "closed" and table.fixes(families):
+        return table
+    return extension._enumerate(gens, finite + families, sub, max_cosets)
+
+
+def _same_table(a, b):
+    return (a.status, a.rows) == (b.status, b.rows)
+
+
+@pytest.mark.parametrize("p", [pytest.param(p, id=name) for name, p in _family_presentations()])
+def test_the_core_check_keeps_every_pure_subgroup_table(p):
+    sub = _pure_subgroup(p.n, p.g)
+    assert _same_table(todd_coxeter(p, sub), _rule_without_the_core(p, sub))
+
+
+@pytest.mark.parametrize("p,words", [pytest.param(p, w, id=name)
+                                     for name, p, w in _word_subgroups()])
+def test_the_core_check_keeps_every_word_subgroup_table(p, words):
+    sub = [parse_word(w, p.n, p.g) for w in words]
+    assert _same_table(todd_coxeter(p, sub, 2000), _rule_without_the_core(p, sub, 2000))
+
+
+class _OneFamilyWord:
+    """Stand-in for ``p`` with one more word in its family stream: the
+    three attributes ``todd_coxeter`` reads."""
+
+    def __init__(self, p, word):
+        self.generators, self.relators = p.generators, p.relators
+        self.iter_relators = lambda: itertools.chain(p.iter_relators(), [("F", word)])
+
+
+def test_a_non_normal_subgroup_gets_the_full_check():
+    # S_3 acting on the 3 cosets of <(1 2)> = <d1>: d1 fixes coset 1 and
+    # moves another, and so does the subgroup word itself
+    s3 = symmetric_presentation(3)
+    d1 = parse_word("d1", s3.n, s3.g)
+    table = todd_coxeter(s3, [d1])
+    cols = [word_to_columns(d1, s3.generators)]
+    assert table.coset_count == 3 and table.fixes(cols, [0]) and not table.fixes(cols)
+    # with d1 as a family relator the first stage must be refused: S_3
+    # modulo the normal closure of a transposition is trivial
+    p = _OneFamilyWord(s3, d1)
+    staged = todd_coxeter(p, [d1])
+    assert (staged.status, staged.coset_count) == ("closed", 1)
+    assert _same_table(staged, _rule_without_the_core(p, [d1]))
+
+
+def test_a_normal_subgroup_traces_the_families_from_coset_1_only(monkeypatch):
+    calls = []
+    fixes = CosetTable.fixes
+
+    def spy(self, words, cosets=None):
+        calls.append((len(words), cosets))
+        return fixes(self, words, cosets)
+
+    monkeypatch.setattr(CosetTable, "fixes", spy)
+    argv = ["tc", "--family", "homotopy", "-n", "4", "-g", "1", "--closed", "--lh-bound", "1",
+            "--subgroup", "pure"]
+    assert run_command(argv) == (0, b"24\n", b"")
+    p = homotopy_generalized_presentation(4, 1, True, 1)
+    families = sum(1 for _ in p.iter_relators()) - len(p.relators)
+    assert families > 0
+    assert calls == [(len(_pure_subgroup(4, 1)), None), (families, [0])]
