@@ -29,25 +29,28 @@ Every ``verify`` check also reads ``--inject-fault`` and ``--format``.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from typing import BinaryIO
 
-from braidhomotopy import extension as ext
-from braidhomotopy import handles, magnus, presentations as pres, verify
 from braidhomotopy.words import ResourceLimitError, format_word, gen_word, parse_word
 
+# Each command imports the layers it runs, inside the command, so a launch
+# loads only those.  A flag whose default is a layer's constant parses as
+# None, and the command reads the constant.
 
-# family -> (flags it needs beyond -n, in checking order; other flags it takes; constructor)
+# family -> (flags it needs beyond -n, in checking order; other flags it takes;
+# constructor of the parsed flags and the ``presentations`` module)
 FAMILIES = {
-    "surface": (("g",), (), lambda a: pres.surface_braid_presentation(a.n, a.g)),
+    "surface": (("g",), (), lambda a, pres: pres.surface_braid_presentation(a.n, a.g)),
     "homotopy": (("g", "closed", "lh_bound"), ("with_auxiliary",),
-                 lambda a: pres.homotopy_generalized_presentation(
+                 lambda a, pres: pres.homotopy_generalized_presentation(
                      a.n, a.g, a.closed, a.lh_bound, bool(getattr(a, "with_auxiliary", None)))),
-    "goldsmith": (("lh_bound",), ("g",), lambda a: pres.goldsmith_presentation(a.n, a.lh_bound)),
+    "goldsmith": (("lh_bound",), ("g",),
+                  lambda a, pres: pres.goldsmith_presentation(a.n, a.lh_bound)),
     "pure": (("g", "closed", "lh_bound"), (),
-             lambda a: pres.pure_homotopy_presentation(a.n, a.g, a.closed, a.lh_bound)),
-    "symmetric": ((), (), lambda a: pres.symmetric_presentation(a.n)),
-    "quotient": (("g", "lh_bound"), (), lambda a: pres.homotopy_quotient(
+             lambda a, pres: pres.pure_homotopy_presentation(a.n, a.g, a.closed, a.lh_bound)),
+    "symmetric": ((), (), lambda a, pres: pres.symmetric_presentation(a.n)),
+    "quotient": (("g", "lh_bound"), (), lambda a, pres: pres.homotopy_quotient(
         pres.surface_braid_presentation(a.n, a.g), a.lh_bound)),
 }
 _NEEDS = {"g": "-g", "closed": "--closed or --punctured", "lh_bound": "an explicit --lh-bound"}
@@ -102,7 +105,7 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("-n", type=int, required=True, help="number of strands")
         p.add_argument("-g", type=int, default=1, required=check == "a-expansion")
         if check == "eq32":
-            p.add_argument("--lh-bound", type=int, default=verify.DEFAULT_IDENTITY_BOUND)
+            p.add_argument("--lh-bound", type=int, default=None)
     for p in checks.choices.values():
         p.add_argument("--inject-fault", action="store_true",
                        help="corrupt one site on purpose; the suite must fail")
@@ -116,7 +119,7 @@ def _build_parser() -> _ArgumentParser:
                    help="compare two crossing words in the left order")
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-g", type=int, default=None)
-    p.add_argument("--step-cap", type=int, default=handles.DEFAULT_STEP_CAP)
+    p.add_argument("--step-cap", type=int, default=None)
     p.add_argument("--input", default=None, help="read words from a file, one per line")
 
     p = sub.add_parser(
@@ -129,7 +132,7 @@ def _build_parser() -> _ArgumentParser:
                    help="'pure' uses the loop/band generating set")
     p.add_argument("--subgroup-word", action="append", default=[],
                    help="extra subgroup generator (token grammar); repeatable")
-    p.add_argument("--max-cosets", type=int, default=ext.DEFAULT_MAX_COSETS)
+    p.add_argument("--max-cosets", type=int, default=None)
     p.add_argument("--table-out", default=None, help="dump the coset table as CSV")
 
     p = sub.add_parser("h1", help="abelianization via Smith normal form")
@@ -152,7 +155,9 @@ def _require(cond: bool, message: str) -> None:
         raise _UsageError(message)
 
 
-def _build_presentation(args) -> pres.Presentation:
+def _build_presentation(args):
+    from braidhomotopy import presentations
+
     needs, takes, build = FAMILIES[args.family]
     _require(args.family != "goldsmith" or args.g in (None, 0),
              "goldsmith is the disk case; drop -g")
@@ -161,30 +166,36 @@ def _build_presentation(args) -> pres.Presentation:
                  f"{args.family} takes no {flag}")
     for name in needs:
         _require(getattr(args, name) is not None, f"{args.family} needs {_NEEDS[name]}")
-    return build(args)
+    return build(args, presentations)
 
 
 def _cmd_pres(args, out, err) -> int:
+    from braidhomotopy.presentations import presentation_to_json, presentation_to_text
+
     p = _build_presentation(args)
     if args.format == "json":
-        out.write(pres.presentation_to_json(p))
+        out.write(presentation_to_json(p))
     else:
-        out.write(pres.presentation_to_text(p))
+        out.write(presentation_to_text(p))
     return 0
 
 
-def _load_or_build(args) -> pres.Presentation:
+def _load_or_build(args):
     if args.input:
+        from braidhomotopy.presentations import presentation_from_json
+
         for name, flag in {"family": "--family", "n": "-n", **_FLAGS}.items():
             _require(getattr(args, name, None) is None, f"--input takes no {flag}")
         with open(args.input, "r", encoding="utf-8") as fh:
-            return pres.presentation_from_json(fh.read())
+            return presentation_from_json(fh.read())
     _require(args.family is not None, "need --family or --input")
     _require(args.n is not None, "need -n")
     return _build_presentation(args)
 
 
 def _cmd_verify(args, out, err) -> int:
+    from braidhomotopy import verify
+
     if args.check == "purity":
         p = _load_or_build(args)
         if args.inject_fault:
@@ -196,7 +207,8 @@ def _cmd_verify(args, out, err) -> int:
     elif args.check == "a-expansion":
         report = verify.loop_expansion_comparison(args.n, args.g, fault=args.inject_fault)
     elif args.check == "eq32":
-        report = verify.identity_check("eq32", args.n, args.g, args.lh_bound, args.inject_fault)
+        bound = verify.DEFAULT_IDENTITY_BOUND if args.lh_bound is None else args.lh_bound
+        report = verify.identity_check("eq32", args.n, args.g, bound, args.inject_fault)
     else:
         kind = {"eq31": "eq31", "transport": "lh_free_identity"}[args.check]
         report = verify.identity_check(kind, args.n, args.g, fault=args.inject_fault)
@@ -205,7 +217,10 @@ def _cmd_verify(args, out, err) -> int:
 
 
 def _cmd_reduce(args, out, err) -> int:
-    handles.check_step_cap(args.step_cap)
+    from braidhomotopy import handles
+
+    step_cap = handles.DEFAULT_STEP_CAP if args.step_cap is None else args.step_cap
+    handles.check_step_cap(step_cap)
     texts = list(args.words)
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -218,31 +233,37 @@ def _cmd_reduce(args, out, err) -> int:
     if args.compare:
         _require(args.oracle == "dehornoy", "--compare needs --oracle dehornoy")
         _require(len(words) == 2, "--compare needs exactly two words")
-        verdict = handles.braid_compare(words[0], words[1], args.step_cap)
+        verdict = handles.braid_compare(words[0], words[1], step_cap)
         out.write(verdict.value + "\n")
         return 0
+    if args.oracle == "magnus":
+        from braidhomotopy.magnus import is_rf_trivial
     for w in words:
         if args.oracle == "free":
             out.write(format_word(w) + "\n")
         elif args.oracle == "dehornoy":
-            out.write(handles.braid_verdict(w, args.step_cap) + "\n")
+            out.write(handles.braid_verdict(w, step_cap) + "\n")
         else:
-            verdict = "trivial" if magnus.is_rf_trivial(w) else "nontrivial"
+            verdict = "trivial" if is_rf_trivial(w) else "nontrivial"
             out.write(verdict + "\n")
     return 0
 
 
 def _cmd_tc(args, out, err) -> int:
+    from braidhomotopy.extension import DEFAULT_MAX_COSETS, todd_coxeter
+    from braidhomotopy.presentations import expand_gen, pure_generators
+
+    max_cosets = DEFAULT_MAX_COSETS if args.max_cosets is None else args.max_cosets
     p = _build_presentation(args)
     subgroup = []
     if args.subgroup == "pure":
         _require(args.family not in ("symmetric", "pure"),
                  "--subgroup pure is spelled in crossings, which symmetric and pure lack")
-        subgroup += [pres.expand_gen(gen, p.n, p.g) for gen in pres.pure_generators(p.n, p.g)]
+        subgroup += [expand_gen(gen, p.n, p.g) for gen in pure_generators(p.n, p.g)]
     subgroup += [parse_word(t, p.n, p.g) for t in args.subgroup_word]
-    table = ext.todd_coxeter(p, subgroup, args.max_cosets)
+    table = todd_coxeter(p, subgroup, max_cosets)
     if table.status == "overflow":
-        err.write(f"overflow after {args.max_cosets} cosets ({table.coset_count} live)\n")
+        err.write(f"overflow after {max_cosets} cosets ({table.coset_count} live)\n")
         return 3
     if args.table_out:
         with open(args.table_out, "w", encoding="utf-8", newline="\n") as fh:
@@ -252,6 +273,8 @@ def _cmd_tc(args, out, err) -> int:
 
 
 def _cmd_h1(args, out, err) -> int:
+    from braidhomotopy import verify
+
     expected = None if args.expect is None else verify.parse_invariants(args.expect)
     p = _load_or_build(args)
     invariants = verify.h1(p)
@@ -262,14 +285,13 @@ def _cmd_h1(args, out, err) -> int:
     return 0
 
 
-def run_command(argv: list[str], stdin: bytes | BinaryIO = b"") -> tuple[int, bytes, bytes]:
+def run_command(argv: list[str],
+                stdin: bytes | io.BufferedIOBase = b"") -> tuple[int, bytes, bytes]:
     """Run one CLI invocation; returns (exit code, stdout, stderr).
 
     ``stdin`` is the input bytes or a binary stream; a stream is read only
     by ``reduce`` with neither words nor ``--input``.
     """
-    import io
-
     out, err = io.StringIO(), io.StringIO()
     code = 0
     try:

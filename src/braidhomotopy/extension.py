@@ -17,7 +17,6 @@ leave, and the gap's last letter is deduced (see ``todd_coxeter``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import getitem
@@ -487,6 +486,8 @@ def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],
 
 
 def extension_data_to_json(data: ExtensionData) -> str:
+    import json
+
     doc = {
         "kernel": presentation_to_doc(data.kernel),
         "quotient": presentation_to_doc(data.quotient),
@@ -507,6 +508,8 @@ def _string_map(value, field: str) -> dict[str, str]:
 
 def extension_data_from_json(text: str) -> ExtensionData:
     """Inverse of ``extension_data_to_json``; a malformed document raises ValueError."""
+    import json
+
     doc = json.loads(text)
     fields = ("kernel", "quotient", "lifts", "rel_words", "conj_words")
     if not isinstance(doc, dict) or not all(key in doc for key in fields):

@@ -24,8 +24,16 @@ from __future__ import annotations
 
 import enum
 
-from braidhomotopy.perms import UnsupportedLetterError
-from braidhomotopy.words import ResourceLimitError, Word, code, concat, invert, sigma, symbol
+from braidhomotopy.words import (
+    ResourceLimitError,
+    UnsupportedLetterError,
+    Word,
+    code,
+    concat,
+    invert,
+    sigma,
+    symbol,
+)
 
 
 class StepLimitError(ResourceLimitError):

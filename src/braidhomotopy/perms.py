@@ -27,11 +27,7 @@ from functools import reduce
 from operator import getitem
 from typing import Iterable, Mapping
 
-from braidhomotopy.words import Gen, Word, symbol
-
-
-class UnsupportedLetterError(ValueError):
-    """Raised when a word contains letters outside the homomorphism domain."""
+from braidhomotopy.words import Gen, UnsupportedLetterError, Word, symbol
 
 
 @dataclass(frozen=True)

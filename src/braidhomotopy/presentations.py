@@ -29,12 +29,12 @@ Each relation is stated once, by shared builders:
 Every truncation bound is checked by ``_check_bound`` where it is stored
 (``RelatorFamily``, ``Presentation``); a family streams at its own bound only.
 A strand with more than ``MAX_CONJUGATORS`` conjugators up to its bound
-raises ResourceLimitError before any conjugator is built.
+raises ResourceLimitError before any conjugator is built, and so does a
+presentation on more than ``MAX_STRANDS`` strands, before any n-sized work.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -70,6 +70,7 @@ from braidhomotopy.words import (
 
 
 MAX_CONJUGATORS = 250_000  # per strand; the n = 5, g = 2, bound-4 strand has 57,857
+MAX_STRANDS = 256  # h1 --family goldsmith -n 256 --lh-bound 1 takes about 1 s
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +233,12 @@ def _conjugator_count(rank: int, bound: int) -> int:
     return 1 + 2 * rank * ((2 * rank - 1) ** bound - 1) // (2 * rank - 2)
 
 
+def _check_strands(n: int) -> None:
+    """Refuse more than ``MAX_STRANDS`` strands; the caller refuses too few."""
+    if n > MAX_STRANDS:
+        raise ResourceLimitError(f"{n} strands exceed the cap of {MAX_STRANDS}")
+
+
 def _check_bound(bound: int) -> None:
     if bound < 0:
         raise ValueError(f"lh_bound must be >= 0, got {bound}")
@@ -320,6 +327,7 @@ def _check_surface_params(n: int, g: int) -> None:
     if g < 1:
         raise ValueError(
             f"need genus g >= 1, got {g}; the disk case lives in goldsmith_presentation")
+    _check_strands(n)
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -429,6 +437,7 @@ def goldsmith_presentation(n: int, lh_bound: int) -> Presentation:
     """
     if n < 2:
         raise ValueError(f"goldsmith_presentation needs n >= 2, got {n}")
+    _check_strands(n)
     return _presentation("goldsmith", n, 0, None, lh_bound, [sigma(i) for i in range(1, n)],
                          _surface_relations(n, 0, False), [RelatorFamily("LH", n, 0, 1, lh_bound)])
 
@@ -498,6 +507,7 @@ def symmetric_presentation(n: int) -> Presentation:
     """Coxeter presentation of the symmetric group on generators d_i."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _check_strands(n)
     d = [atom(f"d{i}") for i in range(1, n)]
     rels = _braid_relations([gen_word(di) for di in d], "SR")
     rels += [(f"SR3[i={i}]", gen_word(d[i - 1], e=2)) for i in range(1, n)]
@@ -529,6 +539,8 @@ def parse_relator_lines(text: str, n: int, g: int) -> list[Word]:
 
 
 def presentation_to_json(p: Presentation) -> str:
+    import json
+
     return json.dumps(presentation_to_doc(p), indent=2) + "\n"
 
 
@@ -571,6 +583,8 @@ def _fields(doc, *keys) -> list:
 
 def presentation_from_json(text: str) -> Presentation:
     """Inverse of ``presentation_to_json``; a malformed document raises ValueError."""
+    import json
+
     return presentation_from_doc(json.loads(text))
 
 
@@ -580,6 +594,7 @@ def presentation_from_doc(doc) -> Presentation:
         doc, "family", "n", "g", "closed", "lh_bound", "generators", "relators", "families")
     if n < 1 or g < 0 or not all(isinstance(tok, str) for tok in tokens):
         raise ValueError("presentation JSON: need n >= 1, g >= 0 and generator strings")
+    _check_strands(n)
     gens = [parse_gen(tok) for tok in tokens]
     rels = [_fields(entry, "label", "word") for entry in entries]
     fams = [_fields(fam, "kind", "strand", "bound") for fam in fams]

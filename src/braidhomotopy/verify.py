@@ -10,14 +10,11 @@ produced in any order.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from braidhomotopy import extension
-from braidhomotopy.handles import is_trivial_braid
 from braidhomotopy.perms import (
     TABLE_MAX_N,
     Permutation,
@@ -122,6 +119,8 @@ class Report:
         return sum(1 for r in self.records if not r.passed)
 
     def to_json(self) -> str:
+        import json
+
         doc = {
             "title": self.title,
             "passed": self.passed,
@@ -296,6 +295,8 @@ def _free_equality(record_id: str, lhs: Word, rhs: Word) -> CheckRecord:
 
 
 def _check_eq31(n: int, g: int, offset: int = 0) -> Report:
+    from braidhomotopy.handles import is_trivial_braid
+
     records = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -329,12 +330,14 @@ def _check_eq32(n: int, g: int, bound: int, fault: bool = False) -> Report:
 def _check_lh_transport(n: int, g: int, fault: bool = False) -> Report:
     """Conjugating the strand-i basis by alpha = s_1..s_{i-1} lands in the
     strand-1 basis: certified by free equality of the expansions."""
+    from braidhomotopy.extension import sigma_conj_word
+
     records = []
     for i in range(2, n + 1):
         for b in RelatorFamily("LH1", n, g, i, 0).strand_basis(i):
             word = gen_word(b, n, g)
             for k in range(i - 1, 0, -1):
-                word = extension.sigma_conj_word(word, k, n, g, wrong_parity=fault)
+                word = sigma_conj_word(word, k, n, g, wrong_parity=fault)
             ok = (expand_word(word, n, g) == conjugate(expand_gen(b, n, g), _alpha(i, n, g))
                   and all(symbol(c).i == 1 for c in word.codes if symbol(c).kind in ("a", "t")))
             records.append(CheckRecord(f"transport[i={i},b={b}]", "free", ok,

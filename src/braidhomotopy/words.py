@@ -14,15 +14,22 @@ Three typed symbol kinds exist (crossing generators ``s``, surface loops
 letters are validated against an alphabet context ``(n, g)`` attached to
 the word: ``n`` strands and genus ``g``.  Purely abstract words carry no
 context and combine with any other word.
+
+``Gen`` and ``Word`` are plain ``__slots__`` classes, immutable, equal and
+hashed as the tuple of their fields.  This module is the one layer every
+command imports, so it does not import ``dataclasses`` (which pulls in
+``inspect``, ``ast``, ``dis`` and ``tokenize``).  Of the layers above it,
+only ``handles`` avoids it too, so the saving reaches the free and
+Dehornoy ``reduce`` launches.  Assigning to a field raises
+``dataclasses.FrozenInstanceError``, imported only then.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import neg
-from typing import Callable, Iterable, Iterator, Sequence
 
 
 class ContextError(ValueError):
@@ -33,6 +40,10 @@ class AlphabetError(ValueError):
     """Raised for out-of-range generator indices or malformed symbols."""
 
 
+class UnsupportedLetterError(ValueError):
+    """Raised when a word contains letters outside the homomorphism domain."""
+
+
 class ResourceLimitError(RuntimeError):
     """Raised when an input would need more than a fixed cap of work or memory."""
 
@@ -40,14 +51,38 @@ class ResourceLimitError(RuntimeError):
 MAX_WORD_LETTERS = 1_000_000  # longest word parse_word expands, before free reduction
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable classes."""
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class Gen:
     """A generator symbol: kind 's' | 'a' | 't' | 'x' plus indices/name."""
 
-    kind: str
-    i: int = 0
-    j: int = 0
-    name: str = ""
+    __slots__ = ("kind", "i", "j", "name")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, kind: str, i: int = 0, j: int = 0, name: str = ""):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.i, self.j, self.name) == \
+                (other.kind, other.i, other.j, other.name)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.i, self.j, self.name))
+
+    def __repr__(self) -> str:
+        return f"Gen(kind={self.kind!r}, i={self.i!r}, j={self.j!r}, name={self.name!r})"
+
+    def __reduce__(self):
+        return Gen, (self.kind, self.i, self.j, self.name)
 
     def __str__(self) -> str:
         if self.kind == "s":
@@ -200,7 +235,6 @@ def inverse_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(neg, reversed(codes)))
 
 
-@dataclass(frozen=True, init=False)
 class Word:
     """A freely reduced word; the empty word is the identity.
 
@@ -214,6 +248,7 @@ class Word:
     """
 
     __slots__ = ("codes", "context")
+    __setattr__ = __delattr__ = _frozen
     codes: tuple[int, ...]
     context: tuple[int, int] | None
 
@@ -237,6 +272,14 @@ class Word:
     def letters(self) -> tuple[tuple[Gen, int], ...]:
         """The letters decoded as ``(Gen, +1/-1)`` pairs."""
         return tuple((_GENS[c], 1) if c > 0 else (_GENS[-c], -1) for c in self.codes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.codes, self.context) == (other.codes, other.context)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.codes, self.context))
 
     def __reduce__(self):  # codes are per process: pickle the symbols
         return Word, (self.letters, self.context)

@@ -4,7 +4,8 @@ A standard-library stand-in for a linter's unused-import rule: each
 module is parsed with ``ast``, and a name bound by a module-level import
 must be read somewhere in that module (string annotations included).
 Names listed in ``__all__`` count as used, so the package's re-exports
-pass.
+pass.  Commands import their layers inside functions, so the same rule
+holds per function: a name a function imports must be read in it.
 """
 
 import ast
@@ -105,3 +106,42 @@ def test_detects_an_unreferenced_private_helper():
              "b.py": ast.parse("import a\nfrom a import _imported\n"
                                "x = a._by_attribute\n_Gone = _recursive = 1\n")}
     assert _unreferenced_private(trees) == {"a.py:_recursive", "a.py:_Gone"}
+
+
+def _function_imports(fn: ast.AST) -> dict[str, int]:
+    """Name bound by each import in the function's own body (nested
+    statements included, nested functions and classes not), with its line."""
+    names, todo = {}, list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_imported(ast.Module(body=[node], type_ignores=[])))
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _unused_function_imports(tree: ast.Module) -> set[str]:
+    """``function:name`` of each function-level import never read in that
+    function; a read in a nested function counts."""
+    return {f"{fn.name}:{name}" for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for name in set(_function_imports(fn)) - _used(fn)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_function_imports(path):
+    assert not _unused_function_imports(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_detects_an_unused_function_import():
+    source = ("def used(x):\n    import json\n    return json.dumps(x)\n"
+              "def unused(flag):\n    import json\n    if flag:\n"
+              "        from os import path as p, sep\n        return sep\n"
+              "def outer():\n    from re import compile\n    def inner():\n"
+              "        import math\n        return compile('x')\n    return inner\n"
+              "def annotated(x: 'Any') -> None:\n    from typing import Any\n"
+              "def module_level_use():\n    import os\nos.sep\n")
+    assert _unused_function_imports(ast.parse(source)) == {
+        "unused:json", "unused:p", "inner:math", "module_level_use:os"}
