@@ -25,9 +25,9 @@ _MODULE_OF = {name: module for module, names in {
                   "tietze_eliminate", "todd_coxeter"),
 }.items() for name in names}
 
-# Derived from the table, and annotated because the import lint in
-# tests/test_imports.py literal-evaluates a plain ``__all__ = [...]``; this
-# module has no module-level import for that lint to check anyway.
+# Annotated, since the unused-import lint (tests/test_imports.py) reads only a
+# literal plain ``__all__ = [...]`` and cannot evaluate this derived list; the
+# module has no module-level import for that lint to check.
 __all__: list[str] = list(_MODULE_OF)
 
 

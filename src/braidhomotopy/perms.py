@@ -6,17 +6,23 @@ arriving at ``i``.  With this convention the permutation of a product
 u*v is ``compose(perm(u), perm(v))`` where letters act top-to-bottom in
 word order.
 
+A letter's action on the strands is stated once, in the letter-by-letter
+reference ``word_permutation``, which reads each letter's symbol as it
+walks and keeps no memo.
+
 ``PermutationTable`` walks words through a transition table whose states
 are image tuples: each state is a ``dict`` from signed letter code to the
-next state, filled on first use, so once a transition is known a letter
-costs one C-level lookup.  A table holds up to n! states, each with an
-entry per letter walked from it, so it is used only up to ``TABLE_MAX_N``
-= 7 strands (n! <= 5040).  Above that, random long words reach a new state
+next state, filled on first use, so a known transition costs one C-level
+lookup.  The identity state's transition on a letter is the letter's
+images, taken from ``word_permutation``; every other transition composes
+them with the state.  A table holds up to n! states, each with an entry
+per letter walked from it, so it is used only up to ``TABLE_MAX_N`` = 7
+strands (n! <= 5040).  Above that, random long words reach a new state
 at almost every letter and the table costs far more time and memory than
 it saves: on 100 random 5,000-letter crossing words at n = 20 an unbounded
 table took 2.5 s and grew the peak RSS from 25 to 243 MB, where letter by
 letter took 0.08 s and no extra memory (CPython 3.11, one core of a shared
-Xeon).  ``word_permutation`` is the letter-by-letter reference.
+Xeon).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from functools import reduce
 from operator import getitem
 from typing import Iterable, Mapping
 
-from braidhomotopy.words import Gen, UnsupportedLetterError, Word, symbol
+from braidhomotopy.words import _GENS, Gen, UnsupportedLetterError, Word
 
 
 @dataclass(frozen=True)
@@ -80,23 +86,6 @@ def inverse(p: Permutation) -> Permutation:
     return Permutation(tuple(images))
 
 
-# Memo of a fixed fact per signed letter code: k for s_k, 0 for a loop or
-# band letter.  Atom images come with each call and are never memoized.
-_ACTION: dict[int, int] = {}
-
-
-def _letter_action(c: int, atom_images: Mapping[Gen, Permutation] | None) -> int | tuple:
-    """k for s_k^{+-1}, 0 for a pure letter, or the image tuple of a signed atom."""
-    gen = symbol(c)
-    if gen.kind in ("s", "a", "t"):
-        _ACTION[c] = gen.i if gen.kind == "s" else 0
-        return _ACTION[c]
-    if atom_images is not None and gen in atom_images:
-        p = atom_images[gen]
-        return (p if c > 0 else inverse(p)).images
-    raise UnsupportedLetterError(f"no permutation image for letter {gen}")
-
-
 def word_permutation(w: Word, n: int,
                      atom_images: Mapping[Gen, Permutation] | None = None) -> Permutation:
     """Image of a word under the homomorphism to the symmetric group.
@@ -107,14 +96,15 @@ def word_permutation(w: Word, n: int,
     """
     images = list(range(1, n + 1))
     for c in w.codes:
-        k = _ACTION.get(c)
-        if k is None:
-            k = _letter_action(c, atom_images)
-            if type(k) is tuple:
-                images = [images[k[i] - 1] for i in range(n)]
-                continue
-        if k:
+        gen = _GENS[c if c > 0 else -c]  # symbol(c), inlined: its call cost ~15% (CPython 3.11)
+        if gen.kind == "s":
+            k = gen.i
             images[k - 1], images[k] = images[k], images[k - 1]
+        elif gen.kind == "x":
+            if atom_images is None or gen not in atom_images:
+                raise UnsupportedLetterError(f"no permutation image for letter {gen}")
+            p = atom_images[gen] if c > 0 else inverse(atom_images[gen])
+            images = [images[x - 1] for x in p.images]
     return Permutation(tuple(images))
 
 
@@ -130,12 +120,13 @@ class _State(dict):
         self.images, self.table = images, table
 
     def __missing__(self, c: int) -> "_State":
-        k, images = _letter_action(c, self.table.atom_images), self.images
-        if type(k) is tuple:
-            images = tuple(images[x - 1] for x in k)
-        elif k:
-            images = images[:k - 1] + (images[k], images[k - 1]) + images[k + 1:]
-        self[c] = nxt = self.table._state(images)
+        table = self.table
+        if self is table.identity:  # the letter's own images, from the reference
+            images = word_permutation(Word.from_codes((c,), None), len(self.images),
+                                      table.atom_images).images
+        else:  # this state, then the letter: (p * l)[i] = p[l[i] - 1]
+            images = tuple(map(((0,) + self.images).__getitem__, table.identity[c].images))
+        self[c] = nxt = table._state(images)
         return nxt
 
 

@@ -24,8 +24,10 @@ from braidhomotopy.perms import (
     word_permutation,
 )
 from braidhomotopy.presentations import (
+    MAX_CONJUGATORS,
     Presentation,
     RelatorFamily,
+    _conjugator_count,
     expand_A_geo,
     expand_A_pure,
     expand_gen,
@@ -33,7 +35,7 @@ from braidhomotopy.presentations import (
     expand_word,
 )
 from braidhomotopy.words import (
-    Gen,
+    ResourceLimitError,
     Word,
     atom,
     commutator,
@@ -80,14 +82,17 @@ def parse_invariants(text: str) -> AbelianInvariants:
         return AbelianInvariants(0, ())
     free, torsion = 0, []
     for part in (x.strip() for x in text.split("+")):
-        if part == "Z":
-            free += 1
-        elif part.startswith("Z^"):
-            free += int(part[2:])
-        elif part.startswith("Z/"):
-            torsion.append(int(part[2:]))
-        else:
-            raise ValueError(f"unparseable invariant component {part!r}")
+        try:
+            if part == "Z":
+                free += 1
+            elif part.startswith("Z^"):
+                free += int(part[2:])
+            elif part.startswith("Z/"):
+                torsion.append(int(part[2:]))
+            else:
+                raise ValueError
+        except ValueError:  # int()'s own message names no component
+            raise ValueError(f"unparseable invariant component {part!r}") from None
     return AbelianInvariants(free, tuple(sorted(torsion)))
 
 
@@ -218,25 +223,18 @@ def h1(p: Presentation) -> AbelianInvariants:
 # relator purity
 
 
-def _atom_images(p: Presentation) -> dict[Gen, Permutation] | None:
-    if p.family != "symmetric":
-        return None
-    return {atom(f"d{i}"): transposition(p.n, i) for i in range(1, p.n)}
-
-
 def purity_report(p: Presentation) -> Report:
     """Check that every relator induces the trivial strand permutation.
 
     Up to ``TABLE_MAX_N`` strands one ``PermutationTable`` walks every
     relator; above it each is walked letter by letter."""
-    images = _atom_images(p)
-    table = PermutationTable(p.n, images) if p.n <= TABLE_MAX_N else None
-    records = []
+    images = ({atom(f"d{i}"): transposition(p.n, i) for i in range(1, p.n)}
+              if p.family == "symmetric" else None)  # the symmetric group's d_i
+    walk = (PermutationTable(p.n, images).images if p.n <= TABLE_MAX_N
+            else lambda rel: word_permutation(rel, p.n, images).images)
+    identity, records = tuple(range(1, p.n + 1)), []
     for label, rel in p.iter_relators():
-        if table is None:
-            got, identity = word_permutation(rel, p.n, images).images, tuple(range(1, p.n + 1))
-        else:
-            got, identity = table.images(rel), table.identity.images
+        got = walk(rel)
         ok = got == identity
         records.append(CheckRecord(label, "permutation", ok,
                                    "" if ok else to_cycles(Permutation(got))))
@@ -279,6 +277,11 @@ def identity_check(kind: str, n: int, g: int = 1, bound: int = DEFAULT_IDENTITY_
         raise ValueError("transport needs a strand-i basis letter: n >= 3, or n = 2 and g >= 1")
     if kind == "lh_free_identity" and fault and g == 0:
         raise ValueError("transport fault injection needs a loop letter: g >= 1")
+    # a record per strand pair and conjugator over the 2g loops and n - 1 bands of strand 1
+    if kind == "eq32" and math.comb(n, 2) * _conjugator_count(
+            2 * g + n - 1, min(bound, MAX_CONJUGATORS)) > MAX_CONJUGATORS:
+        raise ResourceLimitError(f"eq32 n={n} g={g} bound={bound} needs more than "
+                                 f"{MAX_CONJUGATORS} records")
     if kind == "eq31":
         return _check_eq31(n, g, offset=1 if fault else 0)
     if kind == "eq32":

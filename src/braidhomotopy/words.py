@@ -144,7 +144,6 @@ def check_gen(gen: Gen, n: int, g: int) -> None:
 _GENS: list[Gen | None] = [None]
 _NAMES: list[str] = [""]
 _CODES: dict[Gen, int] = {}
-_SPELLINGS: dict[str, int] = {}  # token spelling -> code, filled by the parser
 _TABLE_LOCK = threading.Lock()
 
 
@@ -174,22 +173,18 @@ _SYMBOL_RE = re.compile(
 
 
 def _spelling_code(text: str) -> int:
-    """Code of a symbol spelled like ``s1``, ``a2.3``, ``t1.3`` or an atom name."""
-    c = _SPELLINGS.get(text)
-    if c is None:
-        m = _SYMBOL_RE.fullmatch(text)
-        if m is None:
-            raise AlphabetError(f"not a generator symbol: {text!r}")
-        if m.group("si") is not None:
-            gen = sigma(int(m.group("si")))
-        elif m.group("ai") is not None:
-            gen = loop(int(m.group("ai")), int(m.group("ar")))
-        elif m.group("ti") is not None:
-            gen = band(int(m.group("ti")), int(m.group("tj")))
-        else:
-            gen = atom(m.group("name"))
-        c = _SPELLINGS.setdefault(text, code(gen))
-    return c
+    """Code of a symbol spelled like ``s1``, ``a2.3``, ``t1.3`` or an atom name;
+    parsed on every call (the parser caches whole tokens in ``_TOKENS``)."""
+    m = _SYMBOL_RE.fullmatch(text)
+    if m is None:
+        raise AlphabetError(f"not a generator symbol: {text!r}")
+    if m.group("si") is not None:
+        return code(sigma(int(m.group("si"))))
+    if m.group("ai") is not None:
+        return code(loop(int(m.group("ai")), int(m.group("ar"))))
+    if m.group("ti") is not None:
+        return code(band(int(m.group("ti")), int(m.group("tj"))))
+    return code(atom(m.group("name")))
 
 
 def parse_gen(token: str) -> Gen:
