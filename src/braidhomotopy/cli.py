@@ -32,7 +32,7 @@ import argparse
 import io
 import sys
 
-from braidhomotopy.words import ResourceLimitError, format_word, gen_word, parse_word
+from braidhomotopy.words import ResourceLimitError, format_word, parse_word
 
 # Each command imports the layers it runs, inside the command, so a launch
 # loads only those.  A flag whose default is a layer's constant parses as
@@ -198,12 +198,7 @@ def _cmd_verify(args, out, err) -> int:
 
     if args.check == "purity":
         p = _load_or_build(args)
-        if args.inject_fault:
-            crossing = next((gen for gen in p.generators if gen.kind == "s"), None)
-            _require(crossing is not None,
-                     "purity fault injection needs a crossing generator")
-            p = p.with_relator("FAULT", gen_word(crossing, p.n, p.g))
-        report = verify.purity_report(p)
+        report = verify.purity_report(verify.plant_purity_fault(p) if args.inject_fault else p)
     elif args.check == "a-expansion":
         report = verify.loop_expansion_comparison(args.n, args.g, fault=args.inject_fault)
     elif args.check == "eq32":

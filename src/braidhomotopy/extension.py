@@ -24,6 +24,8 @@ from typing import Sequence
 
 from braidhomotopy.presentations import (
     Presentation,
+    _fields,
+    _presentation,
     presentation_from_doc,
     presentation_to_doc,
     pure_homotopy_presentation,
@@ -179,8 +181,7 @@ def assemble_extension(data: ExtensionData) -> Presentation:
             lhs = concat_all([ty, gen_word(x, n, g), invert(ty)])
             rels.append((f"C[y={data.lifts[y]},x={x}]",
                          concat(lhs, invert(data.conj_words[(y, x)]))))
-    return Presentation("extension", kernel.n, kernel.g, kernel.closed, kernel.lh_bound,
-                        gens, tuple(w for _, w in rels), tuple(l for l, _ in rels))
+    return _presentation("extension", n, g, kernel.closed, kernel.lh_bound, gens, rels)
 
 
 def braid_extension_data(n: int, g: int, closed: bool, lh_bound: int) -> ExtensionData:
@@ -510,19 +511,15 @@ def extension_data_from_json(text: str) -> ExtensionData:
     """Inverse of ``extension_data_to_json``; a malformed document raises ValueError."""
     import json
 
-    doc = json.loads(text)
-    fields = ("kernel", "quotient", "lifts", "rel_words", "conj_words")
-    if not isinstance(doc, dict) or not all(key in doc for key in fields):
-        raise ValueError(f"extension JSON: need an object with fields {', '.join(fields)}")
-    if not isinstance(doc["conj_words"], dict):
-        raise ValueError("extension JSON: field 'conj_words' must be an object")
-    kernel, quotient = (presentation_from_doc(doc[key]) for key in ("kernel", "quotient"))
+    kernel, quotient, lifts, rel_words, conj_table = _fields(
+        json.loads(text), "kernel", "quotient", "lifts", "rel_words", "conj_words",
+        document="extension")
+    kernel, quotient = presentation_from_doc(kernel), presentation_from_doc(quotient)
     n, g = kernel.n, kernel.g
-    lifts = {parse_gen(y): parse_gen(t) for y, t in _string_map(doc["lifts"], "lifts").items()}
+    lifts = {parse_gen(y): parse_gen(t) for y, t in _string_map(lifts, "lifts").items()}
     rel_words = {label: parse_word(body, n, g)
-                 for label, body in _string_map(doc["rel_words"], "rel_words").items()}
-    conj_words = {}
-    for y, table in doc["conj_words"].items():
-        for x, body in _string_map(table, f"conj_words.{y}").items():
-            conj_words[(parse_gen(y), parse_gen(x))] = parse_word(body, n, g)
+                 for label, body in _string_map(rel_words, "rel_words").items()}
+    conj_words = {(parse_gen(y), parse_gen(x)): parse_word(body, n, g)
+                  for y, table in conj_table.items()
+                  for x, body in _string_map(table, f"conj_words.{y}").items()}
     return ExtensionData(kernel, quotient, lifts, rel_words, conj_words)

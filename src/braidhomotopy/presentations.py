@@ -208,9 +208,7 @@ class RelatorFamily:
         ResourceLimitError before any is built."""
         n, g, bound = self.n, self.g, self.bound
         basis = self.strand_basis(i)
-        # a nonempty basis has at least 1 + 2 * bound conjugators, so a bound
-        # above the cap is over it already and need not enter the power
-        if _conjugator_count(len(basis), min(bound, MAX_CONJUGATORS)) > MAX_CONJUGATORS:
+        if _conjugator_count(len(basis), bound) > MAX_CONJUGATORS:
             raise ResourceLimitError(
                 f"relator family {self.kind} (strand {i}) has more than {MAX_CONJUGATORS} "
                 f"conjugators up to bound {bound}")
@@ -226,11 +224,12 @@ class RelatorFamily:
 
 
 def _conjugator_count(rank: int, bound: int) -> int:
-    """Freely reduced words of length <= bound over ``rank`` letters and their
-    inverses: 1 + 2r((2r - 1)^b - 1) / (2r - 2), or 1 + 2rb when r <= 1."""
-    if rank <= 1:
-        return 1 + 2 * rank * bound
-    return 1 + 2 * rank * ((2 * rank - 1) ** bound - 1) // (2 * rank - 2)
+    """Freely reduced words of length <= bound over ``rank`` letters and their inverses,
+    summed by length (1, 2r, 2r(2r - 1), ..) only until the sum passes ``MAX_CONJUGATORS``."""
+    total, layer, length = 1, 2 * rank, 0
+    while layer and length < bound and total <= MAX_CONJUGATORS:
+        total, layer, length = total + layer, layer * (2 * rank - 1), length + 1
+    return total
 
 
 def _check_strands(n: int) -> None:
@@ -282,8 +281,8 @@ class Presentation:
             _check_bound(self.lh_bound)  # pure with n = 1 has a bound but no family
         letters = {code(gen) for gen in self.generators}
         if len(letters) != len(self.generators):
-            bad = next(gen for k, gen in enumerate(self.generators)
-                       if gen in self.generators[:k])
+            seen = set()
+            bad = next(gen for gen in self.generators if gen in seen or seen.add(gen))
             raise ValueError(f"repeated generator {bad}")
         for gen in self.generators:
             check_gen(gen, self.n, self.g)
@@ -565,19 +564,20 @@ def presentation_to_doc(p: Presentation) -> dict:
 _JSON_TYPES = {"family": str, "n": int, "g": int, "closed": (bool, type(None)),
                "lh_bound": (int, type(None)), "generators": list, "relators": list,
                "families": list, "label": str, "word": str, "kind": str, "strand": int,
-               "bound": int}
+               "bound": int, **dict.fromkeys(  # the extension document's fields
+                   ("kernel", "quotient", "lifts", "rel_words", "conj_words"), dict)}
 
 
-def _fields(doc, *keys) -> list:
-    """Values of ``keys`` in a JSON object, type-checked; a bool is no int."""
+def _fields(doc, *keys, document: str = "presentation") -> list:
+    """Values of ``keys`` in an object of a ``document`` JSON, type-checked; a bool is no int."""
     if not isinstance(doc, dict):
-        raise ValueError(f"presentation JSON: expected an object, got {type(doc).__name__}")
+        raise ValueError(f"{document} JSON: expected an object, got {type(doc).__name__}")
     for key in keys:
         if key not in doc:
-            raise ValueError(f"presentation JSON: missing field {key!r}")
+            raise ValueError(f"{document} JSON: missing field {key!r}")
         types, value = _JSON_TYPES[key], doc[key]
-        if not isinstance(value, types) or (isinstance(value, bool) and types is int):
-            raise ValueError(f"presentation JSON: field {key!r} has the wrong type")
+        if not isinstance(value, types) or isinstance(value, bool) and isinstance(0, types):
+            raise ValueError(f"{document} JSON: field {key!r} has the wrong type")
     return [doc[key] for key in keys]
 
 

@@ -27,6 +27,7 @@ from braidhomotopy.presentations import (
     MAX_CONJUGATORS,
     Presentation,
     RelatorFamily,
+    _check_strands,
     _conjugator_count,
     expand_A_geo,
     expand_A_pure,
@@ -223,6 +224,14 @@ def h1(p: Presentation) -> AbelianInvariants:
 # relator purity
 
 
+def plant_purity_fault(p: Presentation) -> Presentation:
+    """``p`` plus its first crossing generator as the relator ``FAULT``, which is impure."""
+    crossing = next((gen for gen in p.generators if gen.kind == "s"), None)
+    if crossing is None:
+        raise ValueError("purity fault injection needs a crossing generator")
+    return p.with_relator("FAULT", gen_word(crossing, p.n, p.g))
+
+
 def purity_report(p: Presentation) -> Report:
     """Check that every relator induces the trivial strand permutation.
 
@@ -277,9 +286,10 @@ def identity_check(kind: str, n: int, g: int = 1, bound: int = DEFAULT_IDENTITY_
         raise ValueError("transport needs a strand-i basis letter: n >= 3, or n = 2 and g >= 1")
     if kind == "lh_free_identity" and fault and g == 0:
         raise ValueError("transport fault injection needs a loop letter: g >= 1")
+    _check_strands(n)
     # a record per strand pair and conjugator over the 2g loops and n - 1 bands of strand 1
-    if kind == "eq32" and math.comb(n, 2) * _conjugator_count(
-            2 * g + n - 1, min(bound, MAX_CONJUGATORS)) > MAX_CONJUGATORS:
+    if kind == "eq32" and (math.comb(n, 2) * _conjugator_count(2 * g + n - 1, bound)
+                           > MAX_CONJUGATORS):
         raise ResourceLimitError(f"eq32 n={n} g={g} bound={bound} needs more than "
                                  f"{MAX_CONJUGATORS} records")
     if kind == "eq31":
@@ -359,6 +369,7 @@ def loop_expansion_comparison(n: int, g: int, fault: bool = False) -> Report:
         raise ValueError("comparison needs n >= 2")
     if g < 1:
         raise ValueError(f"comparison needs genus g >= 1, got {g}")
+    _check_strands(n)
     records = []
     for s in range(1, 2 * g):
         translated = expand_word(expand_A_pure(2, s, n, g), n, g)
