@@ -201,12 +201,10 @@ def _cmd_verify(args, out, err) -> int:
         report = verify.purity_report(verify.plant_purity_fault(p) if args.inject_fault else p)
     elif args.check == "a-expansion":
         report = verify.loop_expansion_comparison(args.n, args.g, fault=args.inject_fault)
-    elif args.check == "eq32":
-        bound = verify.DEFAULT_IDENTITY_BOUND if args.lh_bound is None else args.lh_bound
-        report = verify.identity_check("eq32", args.n, args.g, bound, args.inject_fault)
-    else:
-        kind = {"eq31": "eq31", "transport": "lh_free_identity"}[args.check]
-        report = verify.identity_check(kind, args.n, args.g, fault=args.inject_fault)
+    else:  # only eq32 has --lh-bound
+        kind = "lh_free_identity" if args.check == "transport" else args.check
+        report = verify.identity_check(kind, args.n, args.g, getattr(args, "lh_bound", None),
+                                       args.inject_fault)
     out.write(report.to_json() if args.format == "json" else report.to_text())
     return 0 if report.passed else 1
 
@@ -216,6 +214,9 @@ def _cmd_reduce(args, out, err) -> int:
 
     step_cap = handles.DEFAULT_STEP_CAP if args.step_cap is None else args.step_cap
     handles.check_step_cap(step_cap)
+    _require(args.n is None or args.n >= 1, f"reduce needs -n >= 1, got {args.n}")
+    _require(args.g is None or args.n is not None, "reduce reads -g only with -n")
+    _require(args.g is None or args.g >= 0, f"reduce needs -g >= 0, got {args.g}")
     texts = list(args.words)
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:

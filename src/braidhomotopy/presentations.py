@@ -22,6 +22,7 @@ Each relation is stated once, by shared builders:
     _rel                lhs = rhs as the relator lhs * rhs^-1
     _braid_relations    R1/R2, and SR1/SR2 of the symmetric group
     _surface_relations  R1-R6; with g = 0, punctured, it gives Goldsmith's R1/R2
+    _push_down          s_j^e w s_j^e, the loop push-down rule (expand_a, R7/R8)
     _loops              a run a_{i,r}^e of loop letters (R3, R5, A-words, PR1, PR3, PR7, PR8)
     _pairs              the strand pairs i < j (band generators, R9, PR2-PR7)
     _presentation       the one constructor behind every family and the JSON reader
@@ -95,9 +96,13 @@ def expand_a(i: int, r: int, n: int, g: int) -> Word:
         raise AlphabetError(f"expand_a indices out of range: ({i}, {r}), n={n}, g={g}")
     if i == 1:
         return gen_word(loop(1, r), n, g)
-    sign = 1 if r % 2 == 0 else -1
-    s = gen_word(sigma(i - 1), n, g, e=sign)
-    return concat_all([s, expand_a(i - 1, r, n, g), s])
+    return _push_down(i - 1, r, expand_a(i - 1, r, n, g), n, g)
+
+
+def _push_down(j: int, r: int, w: Word, n: int, g: int) -> Word:
+    """s_j^e w s_j^e, with e = +1 for even r and -1 for odd: a_{j+1,r} from w = a_{j,r}."""
+    s = gen_word(sigma(j), n, g, e=1 if r % 2 == 0 else -1)
+    return concat_all([s, w, s])
 
 
 def expand_T_cap(i: int, j: int, n: int, g: int) -> Word:
@@ -417,8 +422,7 @@ def homotopy_generalized_presentation(n: int, g: int, closed: bool, lh_bound: in
     gens += [band(i, j) for i, j in _pairs(n)]
     for j in range(1, n):
         for r in range(1, 2 * g + 1):
-            s = gen_word(sigma(j), n, g, e=1 if r % 2 == 0 else -1)
-            rhs = concat_all([s, gen_word(loop(j, r), n, g), s])
+            rhs = _push_down(j, r, gen_word(loop(j, r), n, g), n, g)
             label = "R7" if r % 2 == 0 else "R8"
             rels.append((f"{label}[j={j},r={r}]", _rel(gen_word(loop(j + 1, r), n, g), rhs)))
     rels += [(f"R9[i={i},j={j}]", _rel(gen_word(band(i, j), n, g), expand_t(i, j, n, g)))

@@ -3,9 +3,9 @@ abelianization through exact Smith normal form, and batch certification
 of the defining word identities.
 
 Everything here is exact integer arithmetic; there are no tolerances.
-Relator-level checks are independent of each other, and reports are
-canonicalized by a stable sort on the record id, so results may be
-produced in any order.
+Reports are canonicalized by a sort on the record id, so records may be
+produced in any order; eq32's records of one strand and conjugator share
+one verdict, since their identity does not depend on j.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from braidhomotopy.words import (
     invert,
     code,
     sigma,
+    substitute,
     symbol,
 )
 
@@ -254,20 +255,19 @@ def purity_report(p: Presentation) -> Report:
 # identity certification
 
 
-def _alpha(i: int, n: int, g: int, offset: int = 0) -> Word:
-    top = min(i - 1 + offset, n - 1)
-    return Word(tuple((sigma(k), 1) for k in range(1, top + 1)), (n, g))
+def _alpha(i: int, n: int, g: int) -> Word:
+    return Word(tuple((sigma(k), 1) for k in range(1, i)), (n, g))
 
 
 DEFAULT_IDENTITY_BOUND = 3  # the conjugator bound of eq32 when none is given
 
 
-def identity_check(kind: str, n: int, g: int = 1, bound: int = DEFAULT_IDENTITY_BOUND,
+def identity_check(kind: str, n: int, g: int = 1, bound: int | None = None,
                    fault: bool = False) -> Report:
     """Batch-certify a defining identity family.
 
-    kind "eq31": the band transport t_{i,j} = alpha^-1 t_{1,j} alpha,
-    certified independently by free reduction and by handle reduction.
+    kind "eq31": the band transport t_{i,j} = alpha^-1 t_{1,j} alpha, by free
+    reduction and by handle reduction of the freely reduced word.
     kind "eq32": the substitution t_{1,j} := alpha x alpha^-1 turns the
     strand-1 self-commutation relator into the conjugated strand-i one
     as a free-group identity, for every conjugator h up to the bound.
@@ -278,6 +278,7 @@ def identity_check(kind: str, n: int, g: int = 1, bound: int = DEFAULT_IDENTITY_
     conjugator or a wrong-parity rewrite) so suites can prove the checks
     are not vacuous.
     """
+    bound = DEFAULT_IDENTITY_BOUND if bound is None else bound
     if g < 0:
         raise ValueError(f"identity checks need genus g >= 0, got {g}")
     if kind in ("eq31", "eq32") and n < 2:
@@ -293,7 +294,7 @@ def identity_check(kind: str, n: int, g: int = 1, bound: int = DEFAULT_IDENTITY_
         raise ResourceLimitError(f"eq32 n={n} g={g} bound={bound} needs more than "
                                  f"{MAX_CONJUGATORS} records")
     if kind == "eq31":
-        return _check_eq31(n, g, offset=1 if fault else 0)
+        return _check_eq31(n, g, fault)
     if kind == "eq32":
         return _check_eq32(n, g, bound, fault)
     if kind == "lh_free_identity":
@@ -307,51 +308,54 @@ def _free_equality(record_id: str, lhs: Word, rhs: Word) -> CheckRecord:
     return CheckRecord(record_id, "free", not w, format_word(w))
 
 
-def _check_eq31(n: int, g: int, offset: int = 0) -> Report:
+def _check_eq31(n: int, g: int, fault: bool = False) -> Report:
     from braidhomotopy.handles import is_trivial_braid
 
     records = []
-    for i in range(1, n + 1):
+    for i in range(1, n):
+        alpha = _alpha(i + 1 if fault else i, n, g)  # the fault: one crossing too many
         for j in range(i + 1, n + 1):
-            rid, t1j = f"eq31[i={i},j={j}]", expand_t(1, j, n, g)
-            transported = conjugate(expand_t(i, j, n, g), _alpha(i, n, g, offset))
-            free = _free_equality(rid, transported, t1j)
-            ok = is_trivial_braid(concat(transported, invert(t1j)))
-            records += [free, CheckRecord(rid, "handle", ok, "" if ok else free.witness)]
+            w = concat(conjugate(expand_t(i, j, n, g), alpha), invert(expand_t(1, j, n, g)))
+            rid, witness, ok = f"eq31[i={i},j={j}]", format_word(w), is_trivial_braid(w)
+            records += [CheckRecord(rid, "free", not w, witness),
+                        CheckRecord(rid, "handle", ok, "" if ok else witness)]
     return Report.build(f"eq31 n={n}", records)
 
 
 def _check_eq32(n: int, g: int, bound: int, fault: bool = False) -> Report:
+    # x stands for t_{i,j}, so each (i, h) has one identity for all j > i
     x = gen_word(atom("x"))
-    hs = RelatorFamily("LH", n, g, 1, bound).conjugators(1)
+    hs = [(tag, Word.from_codes(h_codes, (n, g)))
+          for tag, h_codes, _ in RelatorFamily("LH", n, g, 1, bound).conjugators(1)]
     records = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            alpha = _alpha(i, n, g)
-            t1j = conjugate(x, alpha)
-            for tag, h_codes, _ in hs:
-                hw = Word.from_codes(h_codes, (n, g))
-                lhs = commutator(t1j, conjugate(t1j, hw))
-                gw = conjugate(hw, invert(alpha))
-                if fault:
-                    gw = concat(gw, gen_word(sigma(1), n, g))
-                rhs = conjugate(commutator(x, conjugate(x, gw)), alpha)
-                records.append(_free_equality(f"eq32[i={i},j={j},h={tag}]", lhs, rhs))
+    for i in range(1, n):
+        alpha = _alpha(i, n, g)
+        alpha_inv, t1j = invert(alpha), conjugate(x, alpha)
+        for tag, hw in hs:
+            lhs = commutator(t1j, conjugate(t1j, hw))
+            gw = conjugate(hw, alpha_inv)
+            if fault:
+                gw = concat(gw, gen_word(sigma(1), n, g))
+            rhs = conjugate(commutator(x, conjugate(x, gw)), alpha)
+            verdict = _free_equality("", lhs, rhs)
+            records += [CheckRecord(f"eq32[i={i},j={j},h={tag}]", "free", verdict.passed,
+                                    verdict.witness) for j in range(i + 1, n + 1)]
     return Report.build(f"eq32 n={n} g={g} bound={bound}", records)
 
 
 def _check_lh_transport(n: int, g: int, fault: bool = False) -> Report:
     """Conjugating the strand-i basis by alpha = s_1..s_{i-1} lands in the
-    strand-1 basis: certified by free equality of the expansions."""
+    strand-1 basis: certified by free equality of the expansions.  Strand i's
+    words are one s_{i-1} step into strand i-1's basis, then strand i-1's words."""
     from braidhomotopy.extension import sigma_conj_word
 
-    records = []
+    transported, records = {}, []
     for i in range(2, n + 1):
+        alpha, previous, transported = _alpha(i, n, g), transported, {}
         for b in RelatorFamily("LH1", n, g, i, 0).strand_basis(i):
-            word = gen_word(b, n, g)
-            for k in range(i - 1, 0, -1):
-                word = sigma_conj_word(word, k, n, g, wrong_parity=fault)
-            ok = (expand_word(word, n, g) == conjugate(expand_gen(b, n, g), _alpha(i, n, g))
+            step = sigma_conj_word(gen_word(b, n, g), i - 1, n, g, wrong_parity=fault)
+            word = transported[b] = substitute(step, previous.__getitem__) if i > 2 else step
+            ok = (expand_word(word, n, g) == conjugate(expand_gen(b, n, g), alpha)
                   and all(symbol(c).i == 1 for c in word.codes if symbol(c).kind in ("a", "t")))
             records.append(CheckRecord(f"transport[i={i},b={b}]", "free", ok,
                                        "" if ok else format_word(word)))
