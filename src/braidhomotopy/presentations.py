@@ -30,8 +30,9 @@ Each relation is stated once, by shared builders:
 Every truncation bound is checked by ``_check_bound`` where it is stored
 (``RelatorFamily``, ``Presentation``); a family streams at its own bound only.
 A strand with more than ``MAX_CONJUGATORS`` conjugators up to its bound
-raises ResourceLimitError before any conjugator is built, and so does a
-presentation on more than ``MAX_STRANDS`` strands, before any n-sized work.
+raises ResourceLimitError before any conjugator is built.  ``_check_size``,
+the first step wherever n and g enter, is the one size rule: too few strands
+or too small a genus raise ValueError, over ``MAX_STRANDS`` ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -81,8 +82,7 @@ MAX_STRANDS = 256  # h1 --family goldsmith -n 256 --lh-bound 1 takes about 1 s
 @lru_cache(maxsize=None)
 def expand_t(i: int, j: int, n: int, g: int = 0) -> Word:
     """Band generator t_{i,j} as a crossing word (rule R9 style)."""
-    if not 1 <= i < j <= n:
-        raise AlphabetError(f"expand_t needs 1 <= i < j <= n, got ({i}, {j}), n={n}")
+    check_gen(band(i, j), n, g)
     letters = [(sigma(k), 1) for k in range(i, j - 1)]
     letters += [(sigma(j - 1), 1), (sigma(j - 1), 1)]
     letters += [(sigma(k), -1) for k in range(j - 2, i - 1, -1)]
@@ -92,8 +92,7 @@ def expand_t(i: int, j: int, n: int, g: int = 0) -> Word:
 @lru_cache(maxsize=None)
 def expand_a(i: int, r: int, n: int, g: int) -> Word:
     """Loop generator a_{i,r} pushed down to strand 1 by parity of r."""
-    if not (1 <= i <= n and 1 <= r <= 2 * g):
-        raise AlphabetError(f"expand_a indices out of range: ({i}, {r}), n={n}, g={g}")
+    check_gen(loop(i, r), n, g)
     if i == 1:
         return gen_word(loop(1, r), n, g)
     return _push_down(i - 1, r, expand_a(i - 1, r, n, g), n, g)
@@ -165,6 +164,7 @@ class RelatorFamily:
     def __post_init__(self):
         if self.kind not in ("LH", "HN", "LH1"):
             raise ValueError(f"unknown relator family kind {self.kind!r}")
+        _check_size(f"relator family {self.kind}", self.n, self.g)
         _check_bound(self.bound)
 
     def strand_basis(self, i: int) -> tuple[Gen, ...]:
@@ -237,8 +237,13 @@ def _conjugator_count(rank: int, bound: int) -> int:
     return total
 
 
-def _check_strands(n: int) -> None:
-    """Refuse more than ``MAX_STRANDS`` strands; the caller refuses too few."""
+def _check_size(what: str, n: int, g: int, least_n: int = 1, least_g: int = 0) -> None:
+    """The one size rule: ``what`` needs n >= least_n and g >= least_g (else
+    ValueError), and at most ``MAX_STRANDS`` strands (else ResourceLimitError)."""
+    if n < least_n:
+        raise ValueError(f"{what} needs n >= {least_n}, got {n}")
+    if g < least_g:
+        raise ValueError(f"{what} needs genus g >= {least_g}, got {g}")
     if n > MAX_STRANDS:
         raise ResourceLimitError(f"{n} strands exceed the cap of {MAX_STRANDS}")
 
@@ -325,15 +330,6 @@ class Presentation:
 # constructors
 
 
-def _check_surface_params(n: int, g: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if g < 1:
-        raise ValueError(
-            f"need genus g >= 1, got {g}; the disk case lives in goldsmith_presentation")
-    _check_strands(n)
-
-
 def _pairs(n: int) -> list[tuple[int, int]]:
     """Strand pairs (i, j), 1 <= i < j <= n, in lexicographic order."""
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -394,7 +390,7 @@ def surface_braid_presentation(n: int, g: int) -> Presentation:
     empty, and every relation mentioning s1 (R1, R2, R4, R5, R6) is
     vacuous.
     """
-    _check_surface_params(n, g)
+    _check_size("surface", n, g, least_g=1)
     gens = [sigma(i) for i in range(1, n)] + [loop(1, r) for r in range(1, 2 * g + 1)]
     return _presentation("surface", n, g, True, None, gens, _surface_relations(n, g, True))
 
@@ -412,7 +408,7 @@ def homotopy_generalized_presentation(n: int, g: int, closed: bool, lh_bound: in
     form used by the extension-assembly workflow; the LH family is then
     phrased over band letters directly.
     """
-    _check_surface_params(n, g)
+    _check_size("homotopy", n, g, least_g=1)
     rels = _surface_relations(n, g, closed)
     gens = [loop(1, r) for r in range(1, 2 * g + 1)] + [sigma(i) for i in range(1, n)]
     if not with_auxiliary:
@@ -438,9 +434,7 @@ def goldsmith_presentation(n: int, lh_bound: int) -> Presentation:
     (the punctured genus-0 surface relations) and the LH family runs over
     the band basis t_{1,2}, .., t_{1,n}.
     """
-    if n < 2:
-        raise ValueError(f"goldsmith_presentation needs n >= 2, got {n}")
-    _check_strands(n)
+    _check_size("goldsmith", n, 0, least_n=2)
     return _presentation("goldsmith", n, 0, None, lh_bound, [sigma(i) for i in range(1, n)],
                          _surface_relations(n, 0, False), [RelatorFamily("LH", n, 0, 1, lh_bound)])
 
@@ -451,7 +445,7 @@ def pure_homotopy_presentation(n: int, g: int, closed: bool, lh_bound: int) -> P
     The punctured variant drops PR1.  The LH1 families, one per strand,
     are phrased over the loop/band generator alphabet directly.
     """
-    _check_surface_params(n, g)
+    _check_size("pure", n, g, least_g=1)
     two_g = 2 * g
     up, down = range(1, two_g + 1), range(two_g, 0, -1)
     pairs = _pairs(n)
@@ -508,9 +502,7 @@ def pure_generators(n: int, g: int) -> list[Gen]:
 
 def symmetric_presentation(n: int) -> Presentation:
     """Coxeter presentation of the symmetric group on generators d_i."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    _check_strands(n)
+    _check_size("symmetric", n, 0)
     d = [atom(f"d{i}") for i in range(1, n)]
     rels = _braid_relations([gen_word(di) for di in d], "SR")
     rels += [(f"SR3[i={i}]", gen_word(d[i - 1], e=2)) for i in range(1, n)]
@@ -596,9 +588,9 @@ def presentation_from_doc(doc) -> Presentation:
     """``presentation_from_json`` on an already parsed JSON document."""
     family, n, g, closed, lh_bound, tokens, entries, fams = _fields(
         doc, "family", "n", "g", "closed", "lh_bound", "generators", "relators", "families")
-    if n < 1 or g < 0 or not all(isinstance(tok, str) for tok in tokens):
-        raise ValueError("presentation JSON: need n >= 1, g >= 0 and generator strings")
-    _check_strands(n)
+    _check_size("presentation JSON", n, g)
+    if not all(isinstance(tok, str) for tok in tokens):
+        raise ValueError("presentation JSON: need generator strings")
     gens = [parse_gen(tok) for tok in tokens]
     rels = [_fields(entry, "label", "word") for entry in entries]
     fams = [_fields(fam, "kind", "strand", "bound") for fam in fams]

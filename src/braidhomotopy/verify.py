@@ -27,7 +27,7 @@ from braidhomotopy.presentations import (
     MAX_CONJUGATORS,
     Presentation,
     RelatorFamily,
-    _check_strands,
+    _check_size,
     _conjugator_count,
     expand_A_geo,
     expand_A_pure,
@@ -279,15 +279,13 @@ def identity_check(kind: str, n: int, g: int = 1, bound: int | None = None,
     are not vacuous.
     """
     bound = DEFAULT_IDENTITY_BOUND if bound is None else bound
-    if g < 0:
-        raise ValueError(f"identity checks need genus g >= 0, got {g}")
-    if kind in ("eq31", "eq32") and n < 2:
-        raise ValueError(f"{kind} needs n >= 2")
-    if kind == "lh_free_identity" and (n < 2 or n == 2 and g == 0):
+    if kind not in ("eq31", "eq32", "lh_free_identity"):
+        raise ValueError(f"unknown identity kind {kind!r}")
+    _check_size("transport" if kind == "lh_free_identity" else kind, n, g, least_n=2)
+    if kind == "lh_free_identity" and n == 2 and g == 0:
         raise ValueError("transport needs a strand-i basis letter: n >= 3, or n = 2 and g >= 1")
     if kind == "lh_free_identity" and fault and g == 0:
         raise ValueError("transport fault injection needs a loop letter: g >= 1")
-    _check_strands(n)
     # a record per strand pair and conjugator over the 2g loops and n - 1 bands of strand 1
     if kind == "eq32" and (math.comb(n, 2) * _conjugator_count(2 * g + n - 1, bound)
                            > MAX_CONJUGATORS):
@@ -297,9 +295,7 @@ def identity_check(kind: str, n: int, g: int = 1, bound: int | None = None,
         return _check_eq31(n, g, fault)
     if kind == "eq32":
         return _check_eq32(n, g, bound, fault)
-    if kind == "lh_free_identity":
-        return _check_lh_transport(n, g, fault)
-    raise ValueError(f"unknown identity kind {kind!r}")
+    return _check_lh_transport(n, g, fault)
 
 
 def _free_equality(record_id: str, lhs: Word, rhs: Word) -> CheckRecord:
@@ -369,11 +365,7 @@ def loop_expansion_comparison(n: int, g: int, fault: bool = False) -> Report:
     ``fault`` appends a crossing to the first rewrite, so exactly one
     record must fail.
     """
-    if n < 2:
-        raise ValueError("comparison needs n >= 2")
-    if g < 1:
-        raise ValueError(f"comparison needs genus g >= 1, got {g}")
-    _check_strands(n)
+    _check_size("a-expansion", n, g, least_n=2, least_g=1)
     records = []
     for s in range(1, 2 * g):
         translated = expand_word(expand_A_pure(2, s, n, g), n, g)

@@ -39,7 +39,7 @@ EXAMPLES = _examples()
 
 
 def test_the_usage_block_has_the_checked_examples():
-    assert len(EXAMPLES) == 7
+    assert len(EXAMPLES) == 8
     assert ["tc", "--family", "goldsmith", "-n", "4", "--lh-bound", "1",
             "--subgroup", "pure"] in [argv for argv, *_ in EXAMPLES]
 
