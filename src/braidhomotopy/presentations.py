@@ -27,6 +27,9 @@ Each relation is stated once, by shared builders:
     _pairs              the strand pairs i < j (band generators, R9, PR2-PR7)
     _presentation       the one constructor behind every family and the JSON reader
 
+A constructor spells each shared sub-word once, in a per-call table its
+relations read: A_s (R4, R5), and T(i, j), A(j, s), a_{i,r} and C(j, k) (PR1-PR8).
+
 Every truncation bound is checked by ``_check_bound`` where it is stored
 (``RelatorFamily``, ``Presentation``); a family streams at its own bound only.
 A strand with more than ``MAX_CONJUGATORS`` conjugators up to its bound
@@ -144,9 +147,10 @@ class RelatorFamily:
     kind "LH1" - conjugators over the strand-i basis kept as loop/band
                  letters (pure string-link groups).
 
-    ``strand`` fixes i for LH/LH1; 0 means all strands (HN).  ``bound``
-    is the shortlex truncation for the conjugator h; a stream at another
-    bound is that of ``dataclasses.replace(fam, bound=b)``.
+    ``strand`` fixes i in 1..n for LH/LH1 and is 0, all strands, for HN;
+    any other strand raises ValueError.  ``bound`` is the shortlex
+    truncation for the conjugator h; a stream at another bound is that
+    of ``dataclasses.replace(fam, bound=b)``.
 
     Stream order contract: strand i ascending, then j ascending, then h
     in the order of ``enumerate_shortlex(strand_basis(i), bound)``.
@@ -166,6 +170,9 @@ class RelatorFamily:
             raise ValueError(f"unknown relator family kind {self.kind!r}")
         _check_size(f"relator family {self.kind}", self.n, self.g)
         _check_bound(self.bound)
+        if not (self.strand == 0 if self.kind == "HN" else 1 <= self.strand <= self.n):
+            raise ValueError(f"relator family {self.kind} on {self.n} strands "
+                             f"cannot have strand {self.strand}")
 
     def strand_basis(self, i: int) -> tuple[Gen, ...]:
         loops = tuple(loop(i, r) for r in range(1, 2 * self.g + 1))
@@ -269,9 +276,8 @@ def expand_word(w: Word, n: int, g: int) -> Word:
 class Presentation:
     """Generators, finite relators, and truncatable relator families.
 
-    The generators are distinct and valid for (n, g), every relator and
-    family uses only them, and each family's strand fits its kind (0 for
-    HN, 1..n for LH and LH1); anything else raises ValueError.
+    The generators are distinct and valid for (n, g), and every relator and
+    family uses only them; anything else raises ValueError.
     """
 
     family: str
@@ -302,9 +308,6 @@ class Presentation:
                 bad = next(c for c in rel.codes if c not in letters)
                 raise ValueError(f"relator {label} uses non-generator {symbol(bad)}")
         for fam in self.families:
-            if not (fam.strand == 0 if fam.kind == "HN" else 1 <= fam.strand <= self.n):
-                raise ValueError(f"relator family {fam.kind} on {self.n} strands "
-                                 f"cannot have strand {fam.strand}")
             missing = fam.alphabet().difference(self.generators)
             if missing:
                 bad = min(missing, key=Gen.sort_key)
@@ -372,12 +375,13 @@ def _surface_relations(n: int, g: int, closed: bool) -> list[tuple[str, Word]]:
         rels.append(("R3", _rel(concat(_loops(1, run, 1, n, g), _loops(1, run, -1, n, g)),
                                 concat_all(x + x[::-1]))))
     if n >= 2:
-        rels += [(f"R4[r={r},s={s}]", commutator(a[r - 1], expand_A_geo(s, n, g)))
+        A = [expand_A_geo(s, n, g) for s in range(1, 2 * g)]  # A_s, read by R4 and R5
+        rels += [(f"R4[r={r},s={s}]", commutator(a[r - 1], A[s - 1]))
                  for r in run for s in range(1, 2 * g) if r != s]
         for r in range(1, 2 * g):
-            prefix, A = _loops(1, range(1, r + 1), 1, n, g), expand_A_geo(r, n, g)
-            rels.append((f"R5[r={r}]", _rel(concat(prefix, A),
-                                            concat_all([x[0], x[0], A, prefix]))))
+            prefix = _loops(1, range(1, r + 1), 1, n, g)
+            rels.append((f"R5[r={r}]", _rel(concat(prefix, A[r - 1]),
+                                            concat_all([x[0], x[0], A[r - 1], prefix]))))
     rels += [(f"R6[r={r},i={i}]", commutator(a[r - 1], x[i - 1]))
              for r in run for i in range(2, n)]
     return rels
@@ -448,47 +452,41 @@ def pure_homotopy_presentation(n: int, g: int, closed: bool, lh_bound: int) -> P
     _check_size("pure", n, g, least_g=1)
     two_g = 2 * g
     up, down = range(1, two_g + 1), range(two_g, 0, -1)
-    pairs = _pairs(n)
-
-    def T(i, j):
-        return expand_T_cap(i, j, n, g)
-
-    def A(j, s):
-        return expand_A_pure(j, s, n, g)
-
-    def aw(i, r):
-        return gen_word(loop(i, r), n, g)
-
+    pairs, strands = _pairs(n), range(1, n + 1)
+    T = {(i, j): expand_T_cap(i, j, n, g) for i in strands for j in range(i, n + 1)}
+    A = {(j, s): expand_A_pure(j, s, n, g) for j in strands for s in range(1, two_g)}
+    aw = {(i, r): gen_word(loop(i, r), n, g) for i in strands for r in up}
+    # the PR7 conjugator C(j, k) = a_{j,2g}^-1 .. a_{j,1}^-1 T(j, k) a_{j,2g} .. a_{j,1}
+    C = {(j, k): concat_all([_loops(j, down, -1, n, g), T[j, k], _loops(j, down, 1, n, g)])
+         for j, k in pairs}
     rels: list[tuple[str, Word]] = []
     if closed:
         rels.append(("PR1", _rel(concat(_loops(n, up, -1, n, g), _loops(n, up, 1, n, g)),
-                                 concat_all([concat(invert(T(i, n - 1)), T(i, n))
+                                 concat_all([concat(invert(T[i, n - 1]), T[i, n])
                                              for i in range(1, n)]))))
-    rels += [(f"PR2[i={i},j={j},r={r},s={s}]", commutator(aw(i, r), A(j, s)))
+    rels += [(f"PR2[i={i},j={j},r={r},s={s}]", commutator(aw[i, r], A[j, s]))
              for i, j in pairs for r in up for s in range(1, two_g) if r != s]
     rels += [(f"PR3[i={i},j={j},r={r}]",
-              _rel(commutator(_loops(i, range(1, r + 1), 1, n, g), A(j, r)),
-                   concat(T(i, j), invert(T(i, j - 1)))))
+              _rel(commutator(_loops(i, range(1, r + 1), 1, n, g), A[j, r]),
+                   concat(T[i, j], invert(T[i, j - 1]))))
              for i, j in pairs for r in range(1, two_g)]
     # i < j < k < l, or i < k < l <= j
-    rels += [(f"PR4[i={i},j={j},k={k},l={l}]", commutator(T(i, j), T(k, l)))
+    rels += [(f"PR4[i={i},j={j},k={k},l={l}]", commutator(T[i, j], T[k, l]))
              for (i, j), (k, l) in product(pairs, pairs) if j < k or (i < k and l <= j)]
     rels += [(f"PR5[i={i},j={j},k={k},l={l}]",
-              _rel(conjugate(T(i, j), T(k, l)),
-                   concat_all([T(i, k - 1), invert(T(i, k)), T(i, j), invert(T(i, l)),
-                               T(i, k), invert(T(i, k - 1)), T(i, l)])))
+              _rel(conjugate(T[i, j], T[k, l]),
+                   concat_all([T[i, k - 1], invert(T[i, k]), T[i, j], invert(T[i, l]),
+                               T[i, k], invert(T[i, k - 1]), T[i, l]])))
              for (i, k), (j, l) in product(pairs, pairs) if k <= j]
-    rels += [(f"PR6[i={i},j={j},k={k},r={r}]", commutator(aw(i, r), T(j, k)))
-             for r in up for i in range(1, n + 1) for j, k in pairs if i < j or k < i]
-    for j, i in pairs:
-        for k in range(i, n + 1):
-            C = concat_all([_loops(j, down, -1, n, g), T(j, k), _loops(j, down, 1, n, g)])
-            rels += [(f"PR7[j={j},i={i},k={k},r={r}]", commutator(aw(i, r), C)) for r in up]
+    rels += [(f"PR6[i={i},j={j},k={k},r={r}]", commutator(aw[i, r], T[j, k]))
+             for r in up for i in strands for j, k in pairs if i < j or k < i]
+    rels += [(f"PR7[j={j},i={i},k={k},r={r}]", commutator(aw[i, r], C[j, k]))
+             for j, i in pairs for k in range(i, n + 1) for r in up]
     for j in range(1, n):
-        factors = [concat_all([_loops(i, down, -1, n, g), T(i, j - 1), invert(T(i, j)),
+        factors = [concat_all([_loops(i, down, -1, n, g), T[i, j - 1], invert(T[i, j]),
                                _loops(i, up, 1, n, g)]) for i in range(1, j)]
         tail = concat(_loops(j, up, 1, n, g), _loops(j, up, -1, n, g))
-        rels.append((f"PR8[j={j}]", _rel(T(j, n), concat_all(factors + [tail]))))
+        rels.append((f"PR8[j={j}]", _rel(T[j, n], concat_all(factors + [tail]))))
 
     fams = [RelatorFamily("LH1", n, g, i, lh_bound) for i in range(1, n)]
     return _presentation("pure", n, g, closed, lh_bound, pure_generators(n, g), rels, fams)

@@ -71,7 +71,7 @@ def test_no_stream_function_takes_a_bound():
 def families(draw):
     kind = draw(st.sampled_from(["LH", "HN", "LH1"]))
     n, g = draw(st.integers(1, 5)), draw(st.integers(0, 2))
-    strand = {"LH": 1, "HN": 0}.get(kind) or draw(st.integers(1, n))
+    strand = draw(st.integers(1, n)) if kind == "LH1" else {"LH": 1, "HN": 0}[kind]
     return RelatorFamily(kind, n, g, strand, 1)
 
 
