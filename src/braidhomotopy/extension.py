@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import islice
 from operator import getitem
 from typing import Sequence
 
@@ -33,6 +34,7 @@ from braidhomotopy.presentations import (
 )
 from braidhomotopy.words import (
     Gen,
+    ResourceLimitError,
     Word,
     band,
     code,
@@ -314,7 +316,7 @@ class CosetTable:
 
 
 def word_to_columns(w: Word, generators: Sequence[Gen]) -> list[int]:
-    return _word_columns(w, _columns(generators))
+    return _columns_of(w.codes, _columns(generators))
 
 
 def _columns(generators: Sequence[Gen]) -> dict[int, int]:
@@ -322,11 +324,11 @@ def _columns(generators: Sequence[Gen]) -> dict[int, int]:
     return {s * code(gen): 2 * k + (s < 0) for k, gen in enumerate(generators) for s in (1, -1)}
 
 
-def _word_columns(w: Word, columns: dict[int, int]) -> list[int]:
-    if not columns.keys() >= set(w.codes):
-        bad = next(c for c in w.codes if c not in columns)
+def _columns_of(codes: Sequence[int], columns: dict[int, int]) -> list[int]:
+    if not columns.keys() >= set(codes):
+        bad = next(c for c in codes if c not in columns)
         raise ValueError(f"word letter {symbol(bad)} is not a presentation generator")
-    return [columns[c] for c in w.codes]
+    return [columns[c] for c in codes]
 
 
 class _Overflow(Exception):
@@ -334,6 +336,11 @@ class _Overflow(Exception):
 
 
 DEFAULT_MAX_COSETS = 100_000
+# memory ceiling of one enumeration: a defined coset costs at most about
+# _COSET_BYTES plus _COLUMN_BYTES per column (343-4,391 B measured at 2-202
+# columns, the final numbering included)
+MAX_TABLE_BYTES = 256 << 20
+_COSET_BYTES, _COLUMN_BYTES = 320, 24
 
 
 def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
@@ -349,38 +356,53 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     the index and its rows are the live cosets in order of definition;
     ``max_cosets`` caps the cosets defined, live or dead, by each
     enumeration, and exceeding it gives status "overflow", not an error.
+    Defining a coset past ``MAX_TABLE_BYTES`` of estimated memory, below
+    the cap, raises ResourceLimitError; so does a family strand over the
+    conjugator cap, before anything is enumerated.
 
-    Relator families are materialized once, at their stored bounds, and
-    the enumeration runs in two stages.  The first enumerates over the
-    finite relators alone.  If that table closes and every family relator
-    fixes every coset, the families lie in the core of the subgroup, so
-    the table is one for the whole presentation and its count is the
-    index.  When the subgroup words themselves fix every coset, the
-    subgroup is that core (it is normal), and a family relator is traced
-    from coset 1 alone.  Otherwise (the first stage overflows, or a family
-    relator moves a coset) the enumeration reruns from scratch over all
-    relators, finite ones first, so an overflowing first stage costs a
-    second full enumeration.  So every overflow, and every index the
-    one-stage enumeration reaches, stays as it was; the first stage may
-    also close where that one overflows, and its table may number cosets
-    differently.
+    The enumeration runs in stages.  The first enumerates over the finite
+    relators alone.  Each family relator is [t, h t h^-1] for a band word t
+    of ``RelatorFamily.bands``.  If the first table closes and every t fixes
+    every coset, so does h t h^-1 for every word h, hence every family
+    relator at every bound, and the table is returned without building the
+    families.  Otherwise they are streamed once, at their stored bounds; an
+    empty stream returns the first table.  If that table closed and every
+    family relator fixes every coset, the families lie in the core of the
+    subgroup and it is returned.  When the subgroup words themselves fix
+    every coset, the subgroup is that core (it is normal), and a family
+    relator is traced from coset 1 alone.  Otherwise (the first stage
+    overflows, or a family relator moves a coset) the enumeration reruns
+    from scratch over all relators, finite ones first, so an overflowing
+    first stage costs a second full enumeration.  So every overflow, and
+    every index the one-stage enumeration reaches, stays as it was; the
+    first stage may also close where that one overflows, and its table may
+    number cosets differently.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     gens = p.generators
+    for fam in p.families:
+        fam.check_cap()
     columns = _columns(gens)
-    relators = [_word_columns(w, columns) for _, w in p.iter_relators()]
-    finite, families = relators[:len(p.relators)], relators[len(p.relators):]
-    subgroup_cols = [_word_columns(w, columns) for w in subgroup]
-    if families:
-        table = _enumerate(gens, finite, subgroup_cols, max_cosets)
-        if table.status == "closed":
-            # If the subgroup H fixes every coset, H <= the kernel of the
-            # action <= Stab(1) = H, so the kernel is H; then a word fixes
-            # every coset iff it lies in the kernel = H iff it fixes coset 1.
-            starts = [0] if table.fixes(subgroup_cols) else None
-            if table.fixes(families, starts):
-                return table
+    finite = [_columns_of(w.codes, columns) for w in p.relators]
+    subgroup_cols = [_columns_of(w.codes, columns) for w in subgroup]
+    table = _enumerate(gens, finite, subgroup_cols, max_cosets)
+    if not p.families or (table.status == "closed" and table.fixes(
+            [_columns_of(t, columns) for fam in p.families
+             for ts in fam.bands().values() for _, t in ts])):
+        return table
+    families = [_columns_of(w.codes, columns)
+                for _, w in islice(p.iter_relators(), len(p.relators), None)]
+    if not families:
+        return table
+    if table.status == "closed":
+        # If the subgroup H fixes every coset, H <= the kernel of the
+        # action <= Stab(1) = H, so the kernel is H; then a word fixes
+        # every coset iff it lies in the kernel = H iff it fixes coset 1.
+        starts = [0] if table.fixes(subgroup_cols) else None
+        if table.fixes(families, starts):
+            return table
+    del table  # so the rerun alone holds a table
     return _enumerate(gens, finite + families, subgroup_cols, max_cosets)
 
 
@@ -388,6 +410,8 @@ def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],
                subgroup_cols: list[list[int]], max_cosets: int) -> CosetTable:
     """One HLT enumeration over relators and subgroup words given as columns."""
     ncols = 2 * len(gens)
+    fit = MAX_TABLE_BYTES // (_COSET_BYTES + _COLUMN_BYTES * ncols)
+    most = min(max_cosets, fit)
     # union-find over cosets (labels[c] == c iff c is live, else an older
     # coset) and one row per coset, whose entries may name dead cosets
     labels = [0]
@@ -422,8 +446,12 @@ def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],
 
     def define(f: int, col: int) -> int:
         d = len(labels)
-        if d >= max_cosets:
-            raise _Overflow
+        if d >= most:
+            if d >= max_cosets:
+                raise _Overflow
+            raise ResourceLimitError(
+                f"a coset table over {len(gens)} generators passes the memory ceiling "
+                f"of {MAX_TABLE_BYTES >> 20} MiB at {fit} cosets")
         labels.append(d)
         table.append([_UNDEF] * ncols)
         table[f][col], table[d][col ^ 1] = d, f

@@ -33,9 +33,10 @@ relations read: A_s (R4, R5), and T(i, j), A(j, s), a_{i,r} and C(j, k) (PR1-PR8
 Every truncation bound is checked by ``_check_bound`` where it is stored
 (``RelatorFamily``, ``Presentation``); a family streams at its own bound only.
 A strand with more than ``MAX_CONJUGATORS`` conjugators up to its bound
-raises ResourceLimitError before any conjugator is built.  ``_check_size``,
-the first step wherever n and g enter, is the one size rule: too few strands
-or too small a genus raise ValueError, over ``MAX_STRANDS`` ResourceLimitError.
+raises ResourceLimitError (``RelatorFamily.check_cap``) before any conjugator
+is built.  ``_check_size``, the first step wherever n and g enter, is the one
+size rule: too few strands or too small a genus raise ValueError, over
+``MAX_STRANDS`` ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -197,14 +198,21 @@ class RelatorFamily:
         return {symbol(c) for i in self._strands() for rep in self._images(i).values()
                 for c in rep}
 
+    def bands(self) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
+        """Per strand i the family ranges over, (j, codes of t_{i,j} as the relators
+        spell it) for each band t_{i,j}: every relator is [t, h t h^-1] for one of
+        these t.  Read by ``instances`` and by ``extension.todd_coxeter``."""
+        return {i: [(j, self._images(i)[code(band(i, j))]) for j in range(i + 1, self.n + 1)]
+                for i in self._strands()}
+
     def instances(self) -> Iterator[tuple[str, Word]]:
         """Yield (label, relator) pairs up to the family's bound, skipping
         freely trivial instances."""
-        n, ctx = self.n, (self.n, self.g)
-        for i in self._strands():
-            conjugators, images = self.conjugators(i), self._images(i)
-            for j in range(i + 1, n + 1):
-                t, t_inv = images[code(band(i, j))], images[-code(band(i, j))]
+        ctx = (self.n, self.g)
+        for i, ts in self.bands().items():
+            conjugators = self.conjugators(i)
+            for j, t in ts:
+                t_inv = inverse_codes(t)
                 head = f"LH[j={j},h=" if self.kind == "LH" else f"{self.kind}[i={i},j={j},h="
                 for tag, hw, hw_inv in conjugators:
                     # [t, x] = t x t^-1 x^-1 with x = hw t hw^-1
@@ -216,23 +224,27 @@ class RelatorFamily:
     def conjugators(self, i: int) -> list[tuple[str, tuple, tuple]]:
         """(label tag, expansion codes, inverse codes) per conjugator h of strand i,
         in stream order up to the family's bound; each expansion extends its
-        parent prefix's.  More than ``MAX_CONJUGATORS`` of them raise
-        ResourceLimitError before any is built."""
-        n, g, bound = self.n, self.g, self.bound
-        basis = self.strand_basis(i)
-        if _conjugator_count(len(basis), bound) > MAX_CONJUGATORS:
-            raise ResourceLimitError(
-                f"relator family {self.kind} (strand {i}) has more than {MAX_CONJUGATORS} "
-                f"conjugators up to bound {bound}")
+        parent prefix's.  ``check_cap`` refuses the strand before any is built."""
+        self.check_cap(i)
         image = self._images(i)
         expansion: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
         out = []
-        for h in enumerate_shortlex(basis, bound, n, g):
+        for h in enumerate_shortlex(self.strand_basis(i), self.bound, self.n, self.g):
             if h:
                 expansion[h.codes] = join_codes(expansion[h.codes[:-1]], image[h.codes[-1]])
             hw = expansion[h.codes]
             out.append((format_word(h).replace(" ", ",") or "1", hw, inverse_codes(hw)))
         return out
+
+    def check_cap(self, i: int | None = None) -> None:
+        """Raise ResourceLimitError for strand i (default: each strand the family
+        ranges over, in stream order) if it has more than ``MAX_CONJUGATORS``
+        conjugators up to the family's bound."""
+        for s in self._strands() if i is None else (i,):
+            if _conjugator_count(len(self.strand_basis(s)), self.bound) > MAX_CONJUGATORS:
+                raise ResourceLimitError(
+                    f"relator family {self.kind} (strand {s}) has more than "
+                    f"{MAX_CONJUGATORS} conjugators up to bound {self.bound}")
 
 
 def _conjugator_count(rank: int, bound: int) -> int:

@@ -3,10 +3,14 @@
 A relator family whose strand has more than ``MAX_CONJUGATORS``
 conjugators up to its bound raises ResourceLimitError before it builds
 any, so every command that streams the family exits 3 at once; ``h1``
-never streams it.  Memory and recursion running out inside a command
-exit 3 too, with one line on stderr.
+never streams it, and ``tc`` checks every strand before it enumerates,
+whether or not it then streams.  A ``tc`` enumeration whose cosets would
+pass ``MAX_TABLE_BYTES`` of estimated memory exits 3 when it reaches them,
+below any larger cap.  Memory and recursion running out inside a command exit 3 too, with one
+line on stderr.
 """
 
+import itertools
 import os
 import pathlib
 import subprocess
@@ -15,8 +19,12 @@ import sys
 import pytest
 
 import braidhomotopy
-from braidhomotopy import cli, presentations
-from braidhomotopy.presentations import RelatorFamily, _conjugator_count
+from braidhomotopy import cli, extension, presentations
+from braidhomotopy.presentations import (
+    RelatorFamily,
+    _conjugator_count,
+    symmetric_presentation,
+)
 from braidhomotopy.words import ResourceLimitError
 
 
@@ -66,6 +74,57 @@ def test_a_hostile_bound_exits_three_at_once(argv):
     proc = _cli(*argv)
     assert proc.returncode == 3 and proc.stdout == b""
     assert proc.stderr.startswith(b"resource limit: ") and proc.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("subgroup", [[], ["--subgroup", "pure"]], ids=["trivial", "pure"])
+def test_tc_refuses_a_hostile_bound_before_it_enumerates(monkeypatch, subgroup):
+    def refuse(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(extension, "_enumerate", refuse)
+    assert cli.run_command(["tc", *FAMILY, *subgroup]) == (
+        3, b"", b"resource limit: relator family LH (strand 1) has more than 250000 "
+                b"conjugators up to bound 40\n")
+
+
+def test_a_coset_cap_past_the_table_ceiling_exits_three():
+    proc = _cli("tc", "--family", "surface", "-n", "2", "-g", "1",
+                "--max-cosets", "99999999999999999999")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, b"", b"resource limit: a coset table over 3 generators passes the memory ceiling "
+                b"of 256 MiB at 578524 cosets\n")
+
+
+def _cosets_to_close(p):
+    """The fewest cosets an enumeration of p over the trivial subgroup defines."""
+    return next(cap for cap in itertools.count(1)
+                if extension.todd_coxeter(p, [], cap).status == "closed")
+
+
+def test_the_table_ceiling_counts_the_cosets_defined(monkeypatch):
+    s3 = symmetric_presentation(3)  # two generators, four columns
+    defined = _cosets_to_close(s3)
+    per_coset = extension._COSET_BYTES + 4 * extension._COLUMN_BYTES
+    monkeypatch.setattr(extension, "MAX_TABLE_BYTES", defined * per_coset)
+    assert extension.todd_coxeter(s3, []).coset_count == 6
+    monkeypatch.setattr(extension, "MAX_TABLE_BYTES", defined * per_coset - 1)
+    with pytest.raises(ResourceLimitError, match=f"at {defined - 1} cosets"):
+        extension.todd_coxeter(s3, [])
+    # at a cap no larger than the ceiling, the cap overflows as before
+    assert extension.todd_coxeter(s3, [], defined - 1).status == "overflow"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "surface", "-n", "2", "-g", "20", "--subgroup", "pure"],  # 41 generators
+    ["--family", "surface", "-n", "2", "-g", "60", "--subgroup", "pure"],  # 121 generators
+])
+def test_a_small_index_answers_at_the_default_cap_over_many_generators(argv):
+    assert cli.run_command(["tc", *argv]) == (0, b"2\n", b"")
+
+
+def test_the_default_cap_fits_under_the_ceiling_up_to_forty_one_generators():
+    per_coset = extension._COSET_BYTES + 82 * extension._COLUMN_BYTES
+    assert extension.DEFAULT_MAX_COSETS * per_coset <= extension.MAX_TABLE_BYTES
 
 
 def test_h1_at_a_hostile_bound_still_answers():

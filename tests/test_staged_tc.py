@@ -1,13 +1,15 @@
 """Staged Todd-Coxeter: close on the finite relators, check the families.
 
 ``todd_coxeter`` first enumerates over the finite relators alone.  If that
-table closes and every family relator fixes every coset, it is returned;
-otherwise the enumeration reruns over all relators.  When the subgroup
-words fix every coset the subgroup is normal, and the families are traced
-from coset 1 alone.  These tests compare it with the one-stage
-enumeration (the families inlined as finite relators) and with the rule
-that traces every coset, pin each route through the stages, and check
-the case only the staged enumeration closes under the default cap.
+table closes and every band word t of every family fixes every coset, it
+is returned without building the families.  Otherwise, if the table closes
+and every family relator fixes every coset, it is returned; else the
+enumeration reruns over all relators.  When the subgroup words fix every
+coset the subgroup is normal, and the families are traced from coset 1
+alone.  These tests compare it with the one-stage enumeration (the
+families inlined as finite relators) and with the rule that traces every
+coset, pin each route through the stages, and check the case only the
+staged enumeration closes under the default cap.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +28,7 @@ from braidhomotopy import extension
 from braidhomotopy.cli import run_command
 from braidhomotopy.extension import CosetTable, todd_coxeter, word_to_columns
 from braidhomotopy.presentations import (
+    RelatorFamily,
     expand_a,
     expand_t,
     goldsmith_presentation,
@@ -54,10 +58,10 @@ def _pure_subgroup(n, g):
     return sub + [expand_t(i, j, n, g) for i in range(1, n) for j in range(i + 1, n + 1)]
 
 
-def _family_presentations():
-    for n in (2, 3, 4, 5):
+def _family_presentations(bounds=(1, 2), strands=(2, 3, 4, 5)):
+    for n in strands:
         for g in (1, 2):
-            for bound in (1, 2):
+            for bound in bounds:
                 for closed in (True, False):
                     yield (f"homotopy-{n}-{g}-{closed}-{bound}",
                            homotopy_generalized_presentation(n, g, closed, bound))
@@ -168,7 +172,9 @@ def _same_table(a, b):
     return (a.status, a.rows) == (b.status, b.rows)
 
 
-@pytest.mark.parametrize("p", [pytest.param(p, id=name) for name, p in _family_presentations()])
+# bound 0 has families with no instance, bound 3 long streams
+@pytest.mark.parametrize("p", [pytest.param(p, id=name) for name, p in [
+    *_family_presentations(), *_family_presentations((0, 3), (2, 3, 4))]])
 def test_the_core_check_keeps_every_pure_subgroup_table(p):
     sub = _pure_subgroup(p.n, p.g)
     assert _same_table(todd_coxeter(p, sub), _rule_without_the_core(p, sub))
@@ -182,12 +188,15 @@ def test_the_core_check_keeps_every_word_subgroup_table(p, words):
 
 
 class _OneFamilyWord:
-    """Stand-in for ``p`` with one more word in its family stream: the
-    three attributes ``todd_coxeter`` reads."""
+    """Stand-in for ``p`` with one more word in its family stream, which is
+    also the one band word of one more family: the attributes
+    ``todd_coxeter`` reads."""
 
     def __init__(self, p, word):
         self.generators, self.relators = p.generators, p.relators
         self.iter_relators = lambda: itertools.chain(p.iter_relators(), [("F", word)])
+        self.families = p.families + (
+            SimpleNamespace(check_cap=lambda: None, bands=lambda: {1: [(2, word.codes)]}),)
 
 
 def test_a_non_normal_subgroup_gets_the_full_check():
@@ -206,7 +215,7 @@ def test_a_non_normal_subgroup_gets_the_full_check():
     assert _same_table(staged, _rule_without_the_core(p, [d1]))
 
 
-def test_a_normal_subgroup_traces_the_families_from_coset_1_only(monkeypatch):
+def _spy_fixes(monkeypatch):
     calls = []
     fixes = CosetTable.fixes
 
@@ -215,10 +224,45 @@ def test_a_normal_subgroup_traces_the_families_from_coset_1_only(monkeypatch):
         return fixes(self, words, cosets)
 
     monkeypatch.setattr(CosetTable, "fixes", spy)
+    return calls
+
+
+def _refuse(monkeypatch, *names):
+    """Make each named ``RelatorFamily`` method fail the test if it is called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("relator family streamed")
+
+    for name in names:
+        monkeypatch.setattr(RelatorFamily, name, refuse)
+
+
+def test_a_normal_subgroup_containing_every_band_word_streams_no_family(monkeypatch):
+    calls = _spy_fixes(monkeypatch)
+    _refuse(monkeypatch, "instances")
     argv = ["tc", "--family", "homotopy", "-n", "4", "-g", "1", "--closed", "--lh-bound", "1",
             "--subgroup", "pure"]
     assert run_command(argv) == (0, b"24\n", b"")
-    p = homotopy_generalized_presentation(4, 1, True, 1)
+    assert calls == [(3, None)]  # t_{1,2}, t_{1,3}, t_{1,4}, over every coset
+
+
+def test_a_normal_subgroup_traces_the_families_from_coset_1_only(monkeypatch):
+    # <s1^3, s2 s1^-1, s1 s2 s1^-2> is the normal subgroup of the braids whose
+    # exponent sum is 0 mod 3; t_{1,2} = s1^2 moves its cosets, so the families
+    # are streamed, and each relator, a commutator, is traced from coset 1
+    calls = _spy_fixes(monkeypatch)
+    argv = ["tc", "--family", "goldsmith", "-n", "3", "--lh-bound", "1"]
+    for w in ("s1^3", "s2 s1^-1", "s1 s2 s1^-2"):
+        argv += ["--subgroup-word", w]
+    assert run_command(argv) == (0, b"3\n", b"")
+    p = goldsmith_presentation(3, 1)
     families = sum(1 for _ in p.iter_relators()) - len(p.relators)
     assert families > 0
-    assert calls == [(len(_pure_subgroup(4, 1)), None), (families, [0])]
+    assert calls == [(2, None), (3, None), (families, [0])]
+
+
+# the pure-subgroup shapes of the ``coset_enum`` benchmark grid, and more
+@pytest.mark.parametrize("p", [pytest.param(p, id=name) for name, p in _family_presentations()])
+def test_no_pure_subgroup_enumeration_streams_a_family(monkeypatch, p):
+    _refuse(monkeypatch, "instances", "conjugators")
+    table = todd_coxeter(p, _pure_subgroup(p.n, p.g))
+    assert (table.status, table.coset_count) == ("closed", math.factorial(p.n))
