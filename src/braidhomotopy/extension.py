@@ -18,13 +18,12 @@ leave, and the gap's last letter is deduced (see ``todd_coxeter``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from itertools import islice
-from operator import getitem
 from typing import Sequence
 
 from braidhomotopy.presentations import (
     Presentation,
+    RelatorFamily,
     _fields,
     _presentation,
     presentation_from_doc,
@@ -283,25 +282,22 @@ class CosetTable:
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
+    def act(self, word: Sequence[int], cosets: Sequence[int] | None = None) -> list[int]:
+        """The coset c·w of each of the cosets (default: all), for a word given
+        as columns; needs a complete table.  A closed table is the action ρ of
+        the group on the cosets, and ``act(w)`` is the permutation ρ(w)."""
+        rows = self.rows
+        images = list(range(len(rows))) if cosets is None else list(cosets)
+        for col in word:
+            images = [rows[c][col] for c in images]
+        return images
+
     def fixes(self, words: Sequence[list[int]], cosets: Sequence[int] | None = None) -> bool:
         """Whether every word, given as columns, leads each of the cosets
-        (default: all) back to itself.  Needs a complete table.  A closed
-        table is the action on the cosets of the subgroup, which is the
-        stabilizer of coset 1: ``cosets=[0]`` asks whether each word lies in
-        the subgroup, and the default whether it acts trivially.
-
-        Each row becomes a list of the rows it leads to, so a trace is one
-        ``reduce(getitem, word, row)`` that runs at C speed.
-        """
-        states = [list(row) for row in self.rows]
-        for state in states:
-            state[:] = [states[v] for v in state]
-        try:
-            starts = states if cosets is None else [states[c] for c in cosets]
-            return all(reduce(getitem, word, s) is s for word in words for s in starts)
-        finally:
-            for state in states:  # break the reference cycles
-                state.clear()
+        (default: all) back to itself; ``cosets=[0]`` asks whether each word
+        lies in the subgroup, the stabilizer of coset 1."""
+        starts = self.act([], cosets)
+        return all(self.act(word, starts) == starts for word in words)
 
     def validate(self, relators: Sequence[list[int]], subgroup: Sequence[list[int]]) -> bool:
         """Consistency: every column 2k + 1 undoes column 2k (so both are
@@ -361,22 +357,15 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     conjugator cap, before anything is enumerated.
 
     The enumeration runs in stages.  The first enumerates over the finite
-    relators alone.  Each family relator is [t, h t h^-1] for a band word t
-    of ``RelatorFamily.bands``.  If the first table closes and every t fixes
-    every coset, so does h t h^-1 for every word h, hence every family
-    relator at every bound, and the table is returned without building the
-    families.  Otherwise they are streamed once, at their stored bounds; an
-    empty stream returns the first table.  If that table closed and every
-    family relator fixes every coset, the families lie in the core of the
-    subgroup and it is returned.  When the subgroup words themselves fix
-    every coset, the subgroup is that core (it is normal), and a family
-    relator is traced from coset 1 alone.  Otherwise (the first stage
-    overflows, or a family relator moves a coset) the enumeration reruns
-    from scratch over all relators, finite ones first, so an overflowing
-    first stage costs a second full enumeration.  So every overflow, and
-    every index the one-stage enumeration reaches, stays as it was; the
-    first stage may also close where that one overflows, and its table may
-    number cosets differently.
+    relators alone.  If its table closes and every family relator, at its
+    stored bound, fixes every coset (``_families_fix_every_coset``, which
+    builds no relator), that table is returned.  Otherwise the families are
+    streamed once; an empty stream returns the first table, and any other
+    reruns the enumeration from scratch over all relators, finite ones
+    first, so an overflowing first stage costs a second full enumeration.
+    So every overflow, and every index the one-stage enumeration reaches,
+    stays as it was; the first stage may also close where that one
+    overflows, and its table may number cosets differently.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
@@ -387,23 +376,33 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     finite = [_columns_of(w.codes, columns) for w in p.relators]
     subgroup_cols = [_columns_of(w.codes, columns) for w in subgroup]
     table = _enumerate(gens, finite, subgroup_cols, max_cosets)
-    if not p.families or (table.status == "closed" and table.fixes(
-            [_columns_of(t, columns) for fam in p.families
-             for ts in fam.bands().values() for _, t in ts])):
+    if table.status == "closed" and _families_fix_every_coset(table, p.families, columns):
         return table
     families = [_columns_of(w.codes, columns)
                 for _, w in islice(p.iter_relators(), len(p.relators), None)]
     if not families:
         return table
-    if table.status == "closed":
-        # If the subgroup H fixes every coset, H <= the kernel of the
-        # action <= Stab(1) = H, so the kernel is H; then a word fixes
-        # every coset iff it lies in the kernel = H iff it fixes coset 1.
-        starts = [0] if table.fixes(subgroup_cols) else None
-        if table.fixes(families, starts):
-            return table
     del table  # so the rerun alone holds a table
     return _enumerate(gens, finite + families, subgroup_cols, max_cosets)
+
+
+def _families_fix_every_coset(table: CosetTable, families: Sequence[RelatorFamily],
+                              columns: dict[int, int]) -> bool:
+    """Whether every family relator, at its bound, fixes every coset of the
+    closed table: the table is the action ρ of ``CosetTable.act``, and
+    [t, h t h^-1] fixes every coset iff ρ(t) commutes with ρ(h t h^-1).  A t
+    with ρ(t) = 1 is skipped; a strand with no other t builds no conjugator h."""
+    identity = list(range(table.coset_count))
+    for fam in families:
+        for i, ts in fam.bands().items():
+            moving = [rt for _, t in ts if (rt := table.act(_columns_of(t, columns))) != identity]
+            for _, hw, hw_inv in fam.conjugators(i) if moving else ():
+                h, h_inv = table.act(_columns_of(hw, columns)), _columns_of(hw_inv, columns)
+                for rt in moving:
+                    x = table.act(h_inv, [rt[d] for d in h])  # c ↦ c·h t h^-1
+                    if [x[d] for d in rt] != [rt[d] for d in x]:
+                        return False
+    return True
 
 
 def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],

@@ -201,7 +201,7 @@ class RelatorFamily:
     def bands(self) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
         """Per strand i the family ranges over, (j, codes of t_{i,j} as the relators
         spell it) for each band t_{i,j}: every relator is [t, h t h^-1] for one of
-        these t.  Read by ``instances`` and by ``extension.todd_coxeter``."""
+        these t.  Read by ``instances`` and ``extension._families_fix_every_coset``."""
         return {i: [(j, self._images(i)[code(band(i, j))]) for j in range(i + 1, self.n + 1)]
                 for i in self._strands()}
 
