@@ -32,9 +32,10 @@ relations read: A_s (R4, R5), and T(i, j), A(j, s), a_{i,r} and C(j, k) (PR1-PR8
 
 Every truncation bound is checked by ``_check_bound`` where it is stored
 (``RelatorFamily``, ``Presentation``); a family streams at its own bound only.
-A strand with more than ``MAX_CONJUGATORS`` conjugators up to its bound
-raises ResourceLimitError (``RelatorFamily.check_cap``) before any conjugator
-is built.  ``_check_size``, the first step wherever n and g enter, is the one
+A strand with more than ``MAX_CONJUGATORS`` conjugators up to its bound, or
+whose count times the bound passes ``MAX_CONJUGATOR_LETTERS``, raises
+ResourceLimitError (``RelatorFamily.check_cap``) before any conjugator is
+built.  ``_check_size``, the first step wherever n and g enter, is the one
 size rule: too few strands or too small a genus raise ValueError, over
 ``MAX_STRANDS`` ResourceLimitError.
 """
@@ -42,7 +43,7 @@ size rule: too few strands or too small a genus raise ValueError, over
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -76,6 +77,7 @@ from braidhomotopy.words import (
 
 
 MAX_CONJUGATORS = 250_000  # per strand; the n = 5, g = 2, bound-4 strand has 57,857
+MAX_CONJUGATOR_LETTERS = 2_000_000  # per strand, count x bound; rank 2, bound 10: 1,180,970
 MAX_STRANDS = 256  # h1 --family goldsmith -n 256 --lh-bound 1 takes about 1 s
 
 
@@ -87,10 +89,9 @@ MAX_STRANDS = 256  # h1 --family goldsmith -n 256 --lh-bound 1 takes about 1 s
 def expand_t(i: int, j: int, n: int, g: int = 0) -> Word:
     """Band generator t_{i,j} as a crossing word (rule R9 style)."""
     check_gen(band(i, j), n, g)
-    letters = [(sigma(k), 1) for k in range(i, j - 1)]
-    letters += [(sigma(j - 1), 1), (sigma(j - 1), 1)]
-    letters += [(sigma(k), -1) for k in range(j - 2, i - 1, -1)]
-    return Word(tuple(letters), (n, g))
+    # s_i .. s_{j-1}: the first j-1-i codes of t_{i,j-1} are s_i .. s_{j-2}
+    up = (expand_t(i, j - 1, n, g).codes[:j - 1 - i] if j > i + 1 else ()) + (code(sigma(j - 1)),)
+    return Word.from_codes(up + up[-1:] + inverse_codes(up[:-1]), (n, g))
 
 
 @lru_cache(maxsize=None)
@@ -175,6 +176,9 @@ class RelatorFamily:
             raise ValueError(f"relator family {self.kind} on {self.n} strands "
                              f"cannot have strand {self.strand}")
 
+    def __reduce__(self):  # ``_images`` holds per-process codes: pickle the fields only
+        return RelatorFamily, (self.kind, self.n, self.g, self.strand, self.bound)
+
     def strand_basis(self, i: int) -> tuple[Gen, ...]:
         loops = tuple(loop(i, r) for r in range(1, 2 * self.g + 1))
         bands = tuple(band(i, m) for m in range(i + 1, self.n + 1))
@@ -184,26 +188,27 @@ class RelatorFamily:
         """The strands i the family ranges over: 1..n-1 for HN, else its own."""
         return range(1, self.n) if self.kind == "HN" else range(self.strand, self.strand + 1)
 
-    @lru_cache(maxsize=None)
-    def _images(self, i: int) -> dict[int, tuple[int, ...]]:
-        """The codes of each strand-i basis letter and of its inverse, by signed
-        letter code, as the relators spell them (expanded unless LH1); built
-        once per family and strand, read by the stream and by ``alphabet``."""
+    @cached_property
+    def _images(self) -> dict[int, dict[int, tuple[int, ...]]]:
+        """Per strand i the family ranges over, the codes of each strand-i basis letter
+        and of its inverse, by signed letter code, as the relators spell them (expanded
+        unless LH1); built once per family, read by the stream and by ``alphabet``."""
         spell = gen_word if self.kind == "LH1" else expand_gen
-        return image_table(map(code, self.strand_basis(i)),
-                           lambda gen: spell(gen, self.n, self.g))[0]
+        return {i: image_table(map(code, self.strand_basis(i)),
+                               lambda gen: spell(gen, self.n, self.g))[0]
+                for i in self._strands()}
 
     def alphabet(self) -> set[Gen]:
         """Every symbol the relators can use: the letters of each strand basis's images."""
-        return {symbol(c) for i in self._strands() for rep in self._images(i).values()
-                for c in rep}
+        letters = set().union(*(rep for image in self._images.values() for rep in image.values()))
+        return {symbol(c) for c in {abs(c) for c in letters}}
 
     def bands(self) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
         """Per strand i the family ranges over, (j, codes of t_{i,j} as the relators
         spell it) for each band t_{i,j}: every relator is [t, h t h^-1] for one of
         these t.  Read by ``instances`` and ``extension._families_fix_every_coset``."""
-        return {i: [(j, self._images(i)[code(band(i, j))]) for j in range(i + 1, self.n + 1)]
-                for i in self._strands()}
+        return {i: [(j, image[code(band(i, j))]) for j in range(i + 1, self.n + 1)]
+                for i, image in self._images.items()}
 
     def instances(self) -> Iterator[tuple[str, Word]]:
         """Yield (label, relator) pairs up to the family's bound, skipping
@@ -226,7 +231,7 @@ class RelatorFamily:
         in stream order up to the family's bound; each expansion extends its
         parent prefix's.  ``check_cap`` refuses the strand before any is built."""
         self.check_cap(i)
-        image = self._images(i)
+        image = self._images[i]
         expansion: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
         out = []
         for h in enumerate_shortlex(self.strand_basis(i), self.bound, self.n, self.g):
@@ -239,12 +244,19 @@ class RelatorFamily:
     def check_cap(self, i: int | None = None) -> None:
         """Raise ResourceLimitError for strand i (default: each strand the family
         ranges over, in stream order) if it has more than ``MAX_CONJUGATORS``
-        conjugators up to the family's bound."""
+        conjugators up to the family's bound, or if their count times the bound
+        passes ``MAX_CONJUGATOR_LETTERS`` (only at rank 1, where a few
+        conjugators hold about bound^2 letters)."""
         for s in self._strands() if i is None else (i,):
-            if _conjugator_count(len(self.strand_basis(s)), self.bound) > MAX_CONJUGATORS:
+            count = _conjugator_count(len(self.strand_basis(s)), self.bound)
+            if count > MAX_CONJUGATORS:
                 raise ResourceLimitError(
                     f"relator family {self.kind} (strand {s}) has more than "
                     f"{MAX_CONJUGATORS} conjugators up to bound {self.bound}")
+            if count * self.bound > MAX_CONJUGATOR_LETTERS:
+                raise ResourceLimitError(
+                    f"relator family {self.kind} (strand {s}) has {count} conjugators up to bound "
+                    f"{self.bound}, which may hold more than {MAX_CONJUGATOR_LETTERS} letters")
 
 
 def _conjugator_count(rank: int, bound: int) -> int:

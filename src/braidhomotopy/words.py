@@ -5,8 +5,9 @@ positive code from one process-wide symbol table the first time it is
 seen; the letter ``+code`` is the symbol and ``-code`` its inverse.  A
 ``Word`` keeps its freely reduced letters as a tuple of codes, so free
 reduction, inversion, concatenation, conjugation and commutators compare
-ints only.  ``Gen`` objects appear only when parsing, printing and in
-the decoded ``Word.letters`` view.  Codes follow first use, so they
+ints only.  ``Gen`` objects appear only when parsing, printing, in
+the decoded ``Word.letters`` view, and in ``Word(letters)``, which
+constructors use for short words.  Codes follow first use, so they
 differ between processes; nothing is printed or ordered by code.
 
 Three typed symbol kinds exist (crossing generators ``s``, surface loops

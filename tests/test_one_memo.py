@@ -1,10 +1,13 @@
-"""One memo per fact in the word and permutation layers.
+"""One memo per fact in the word, permutation and presentation layers.
 
 A letter's strand action is stated in ``perms.word_permutation`` alone:
 ``PermutationTable`` takes each letter's images from it, once per table,
 and composes them at any strand count.  The module-level mutable memos
 of ``words`` and ``perms`` are the symbol table (``_GENS``, ``_NAMES``,
-``_CODES``) and the parser's bounded token cache (``_TOKENS``).
+``_CODES``) and the parser's bounded token cache (``_TOKENS``).  Those of
+``presentations`` are the caches of ``expand_t`` and ``expand_a``; a
+relator family keeps its strand images on itself.  No method carries a
+``functools`` cache, whose keys would keep every instance alive.
 """
 
 import ast
@@ -32,21 +35,29 @@ def _name(node) -> str:
     return node.id if isinstance(node, ast.Name) else ""
 
 
+def _cached(node) -> bool:
+    """Whether ``node`` is a function wrapped in a ``functools`` cache."""
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+        any(_name(d) in CACHES for d in node.decorator_list)
+
+
 def _mutable_memos(source: str) -> set[str]:
-    """Module-level names bound to a mutable container, and module-level
-    functions wrapped in a ``functools`` cache."""
+    """Module-level names bound to a mutable container, module-level
+    functions wrapped in a ``functools`` cache, and methods wrapped in one
+    (as ``Class.method``)."""
     memos = set()
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+        if isinstance(node, ast.ClassDef):
+            memos.update(f"{node.name}.{f.name}" for f in node.body if _cached(f))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
             value = node.value
             if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
                                   ast.SetComp)) or (isinstance(value, ast.Call)
                                                     and _name(value) in CONTAINERS):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 memos.update(t.id for t in targets if isinstance(t, ast.Name))
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if any(_name(d) in CACHES for d in node.decorator_list):
-                memos.add(node.name)
+        elif _cached(node):
+            memos.add(node.name)
     return memos
 
 
@@ -60,6 +71,27 @@ def test_the_detector_finds_every_kind_of_memo():
               "def _n(x):\n    memo = {}\n    return memo\n"
               "class _O:\n    memo = {}\n")
     assert _mutable_memos(source) == {"_A", "_B", "_C", "_D", "_E", "_l", "_m"}
+
+
+def test_the_detector_finds_a_cache_on_a_method():
+    source = ("import functools\nclass _P:\n    memo = {}\n"
+              "    @functools.lru_cache(maxsize=None)\n    def _q(self, x):\n        return x\n"
+              "    @functools.cache\n    def _r(self):\n        return 1\n"
+              "    @functools.cached_property\n    def _s(self):\n        return 2\n"
+              "    def _t(self):\n        return 3\n")
+    assert _mutable_memos(source) == {"_P._q", "_P._r"}
+
+
+def test_presentations_caches_only_the_derived_generator_expansions():
+    memos = _mutable_memos((PACKAGE / "presentations.py").read_text(encoding="utf-8"))
+    # _JSON_TYPES is the JSON reader's field-type table, read and never written
+    assert memos == {"expand_t", "expand_a", "_JSON_TYPES"}
+
+
+def test_no_method_in_the_package_carries_a_cache():
+    for path in sorted(PACKAGE.glob("*.py")):
+        methods = {m for m in _mutable_memos(path.read_text(encoding="utf-8")) if "." in m}
+        assert not methods, path.name
 
 
 def test_the_word_and_permutation_layers_keep_one_memo_per_fact():

@@ -1,7 +1,9 @@
 """Exit code 3 for inputs that would exhaust a resource.
 
 A relator family whose strand has more than ``MAX_CONJUGATORS``
-conjugators up to its bound raises ResourceLimitError before it builds
+conjugators up to its bound, or whose count times the bound passes
+``MAX_CONJUGATOR_LETTERS`` (a rank-1 strand, whose few conjugators hold
+about bound^2 letters), raises ResourceLimitError before it builds
 any, so every command that streams the family exits 3 at once; ``h1``
 never streams it, and ``tc`` checks every strand before it enumerates,
 whether or not it then streams.  A ``tc`` enumeration whose cosets would
@@ -130,6 +132,40 @@ def test_the_default_cap_fits_under_the_ceiling_up_to_forty_one_generators():
 def test_h1_at_a_hostile_bound_still_answers():
     proc = _cli("h1", *FAMILY)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"Z^2 + Z/2\n", b"")
+
+
+RANK_ONE = ["--family", "goldsmith", "-n", "2", "--lh-bound", "124999"]  # 249,999 conjugators
+
+
+@pytest.mark.parametrize("argv", [["pres", *RANK_ONE], ["verify", "purity", *RANK_ONE],
+                                  ["tc", *RANK_ONE],
+                                  ["verify", "eq32", "-n", "2", "-g", "0", "--lh-bound", "124999"]],
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_a_rank_one_strand_at_a_hostile_bound_exits_three_at_once(argv):
+    proc = _cli(*argv)
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert proc.stderr.startswith(b"resource limit: ") and proc.stderr.count(b"\n") == 1
+
+
+def test_h1_at_a_hostile_rank_one_bound_still_answers():
+    proc = _cli("h1", *RANK_ONE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"Z\n", b"")
+
+
+def test_the_letter_cap_fires_only_at_rank_one():
+    # from rank 250 on only bounds 0 and 1 pass the count cap, so no product there passes 250,000
+    products = []
+    for rank in range(2, 300):
+        for bound in itertools.count():
+            count = _conjugator_count(rank, bound)
+            if count > presentations.MAX_CONJUGATORS:
+                break
+            products.append(count * bound)
+    assert max(products) == 1_180_970 <= presentations.MAX_CONJUGATOR_LETTERS  # rank 2, bound 10
+    RelatorFamily("LH", 2, 0, 1, 999).check_cap()  # 1,999 conjugators, 1,997,001
+    with pytest.raises(ResourceLimitError, match="has 2001 conjugators up to bound 1000, "
+                                                 "which may hold more than 2000000 letters"):
+        RelatorFamily("LH", 2, 0, 1, 1000).check_cap()
 
 
 @pytest.mark.parametrize("exc,line", [
