@@ -30,7 +30,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from operator import getitem
 from typing import Iterable, Mapping
 
 from braidhomotopy.words import _GENS, Gen, UnsupportedLetterError, Word
@@ -144,7 +143,7 @@ class PermutationTable:
 
     def images(self, w: Word) -> tuple[int, ...]:
         """``word_permutation(w, n, atom_images).images``, walked through the table."""
-        return reduce(getitem, w.codes, self.identity).images
+        return reduce(dict.__getitem__, w.codes, self.identity).images
 
 
 def is_pure(w: Word, n: int,

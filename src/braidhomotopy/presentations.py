@@ -192,16 +192,25 @@ class RelatorFamily:
     def _images(self) -> dict[int, dict[int, tuple[int, ...]]]:
         """Per strand i the family ranges over, the codes of each strand-i basis letter
         and of its inverse, by signed letter code, as the relators spell them (expanded
-        unless LH1); built once per family, read by the stream and by ``alphabet``."""
+        unless LH1); built once per family, by its first ``bands`` or ``conjugators``
+        call."""
         spell = gen_word if self.kind == "LH1" else expand_gen
         return {i: image_table(map(code, self.strand_basis(i)),
                                lambda gen: spell(gen, self.n, self.g))[0]
                 for i in self._strands()}
 
     def alphabet(self) -> set[Gen]:
-        """Every symbol the relators can use: the letters of each strand basis's images."""
-        letters = set().union(*(rep for image in self._images.values() for rep in image.values()))
-        return {symbol(c) for c in {abs(c) for c in letters}}
+        """Every symbol the relators can use, from the strand bases without spelling them:
+        the basis for LH1; else per strand i, t_{i,n}'s crossings s_i..s_{n-1} and, with
+        g >= 1, a_{1,1}..a_{1,2g} and the s_1..s_{i-1} that push a_{i,r} down to them."""
+        if self.kind == "LH1":
+            gens = list(self.strand_basis(self.strand))
+        else:
+            gens = []
+            for i in self._strands():
+                gens += [sigma(k) for k in range(1 if self.g else i, self.n)]
+                gens += [loop(1, r) for r in range(1, 2 * self.g + 1)]
+        return {symbol(c) for c in set(map(code, gens))}
 
     def bands(self) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
         """Per strand i the family ranges over, (j, codes of t_{i,j} as the relators
@@ -217,28 +226,41 @@ class RelatorFamily:
         for i, ts in self.bands().items():
             conjugators = self.conjugators(i)
             for j, t in ts:
-                t_inv = inverse_codes(t)
+                t_inv, m = inverse_codes(t), len(t)
                 head = f"LH[j={j},h=" if self.kind == "LH" else f"{self.kind}[i={i},j={j},h="
                 for tag, hw, hw_inv in conjugators:
-                    # [t, x] = t x t^-1 x^-1 with x = hw t hw^-1
-                    x = join_codes(join_codes(hw, t), hw_inv)
-                    rel = join_codes(join_codes(join_codes(t, x), t_inv), inverse_codes(x))
+                    # [t, x] = t x t^-1 x^-1 with x = hw t hw^-1: hw ends in the last a
+                    # letters of t^-1, which cancel t's head, and in the last b of t,
+                    # which cancel the head of hw^-1
+                    k, a, b = len(hw), 0, 0
+                    while a < k and a < m and hw[-1 - a] == t_inv[-1 - a]:
+                        a += 1
+                    while b < k and b < m and hw[-1 - b] == t[-1 - b]:
+                        b += 1
+                    if a + b < m:  # the junctions are apart: x and x^-1 as sliced are reduced
+                        x = hw[:k - a] + t[a:m - b] + hw_inv[b:]
+                        x_inv = hw[:k - b] + t_inv[b:m - a] + hw_inv[a:]
+                    else:
+                        x = join_codes(join_codes(hw, t), hw_inv)
+                        x_inv = inverse_codes(x)
+                    rel = join_codes(join_codes(join_codes(t, x), t_inv), x_inv)
                     if rel:
                         yield head + tag + "]", Word.from_codes(rel, ctx)
 
     def conjugators(self, i: int) -> list[tuple[str, tuple, tuple]]:
         """(label tag, expansion codes, inverse codes) per conjugator h of strand i,
-        in stream order up to the family's bound; each expansion extends its
-        parent prefix's.  ``check_cap`` refuses the strand before any is built."""
+        in stream order up to the family's bound; each expansion and its inverse
+        extend their parent prefix's by one join each.  ``check_cap`` refuses the
+        strand before any is built."""
         self.check_cap(i)
         image = self._images[i]
-        expansion: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
+        expansion: dict[tuple[int, ...], tuple[tuple, tuple]] = {(): ((), ())}
         out = []
         for h in enumerate_shortlex(self.strand_basis(i), self.bound, self.n, self.g):
             if h:
-                expansion[h.codes] = join_codes(expansion[h.codes[:-1]], image[h.codes[-1]])
-            hw = expansion[h.codes]
-            out.append((format_word(h).replace(" ", ",") or "1", hw, inverse_codes(hw)))
+                (hw, hw_inv), c = expansion[h.codes[:-1]], h.codes[-1]
+                expansion[h.codes] = join_codes(hw, image[c]), join_codes(image[-c], hw_inv)
+            out.append((format_word(h).replace(" ", ",") or "1", *expansion[h.codes]))
         return out
 
     def check_cap(self, i: int | None = None) -> None:

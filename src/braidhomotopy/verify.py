@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from braidhomotopy.perms import (
@@ -157,9 +157,14 @@ class Report:
 
 def abelianized_matrix(p: Presentation) -> list[list[int]]:
     """Exponent-sum matrix: a row per relator, families included; a column per generator."""
+    return _exponent_rows(p, (rel for _, rel in p.iter_relators()))
+
+
+def _exponent_rows(p: Presentation, relators) -> list[list[int]]:
+    """A row of exponent sums per relator in ``relators``, a column per generator of ``p``."""
     column = {code(gen): col for col, gen in enumerate(p.generators)}
     rows = []
-    for _, rel in p.iter_relators():
+    for rel in relators:
         row = [0] * len(column)
         for c, k in Counter(rel.codes).items():
             row[column[abs(c)]] += k if c > 0 else -k
@@ -218,7 +223,7 @@ def h1(p: Presentation) -> AbelianInvariants:
     """Abelianization from the finite relators alone: the families are never
     streamed, since every instance [t, t^h] has zero exponent sums.  So the
     result is that of the untruncated families, whatever their bound."""
-    return smith_normal_form(abelianized_matrix(replace(p, families=())), ncols=len(p.generators))
+    return smith_normal_form(_exponent_rows(p, p.relators), ncols=len(p.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +250,8 @@ def purity_report(p: Presentation) -> Report:
     identity, records = tuple(range(1, p.n + 1)), []
     for label, rel in p.iter_relators():
         got = walk(rel)
-        ok = got == identity
-        records.append(CheckRecord(label, "permutation", ok,
-                                   "" if ok else to_cycles(Permutation(got))))
+        records.append(CheckRecord(label, "permutation", True) if got == identity else
+                       CheckRecord(label, "permutation", False, to_cycles(Permutation(got))))
     return Report.build(f"purity {p.family} n={p.n} g={p.g}", records)
 
 

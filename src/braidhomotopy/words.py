@@ -8,7 +8,9 @@ reduction, inversion, concatenation, conjugation and commutators compare
 ints only.  ``Gen`` objects appear only when parsing, printing, in
 the decoded ``Word.letters`` view, and in ``Word(letters)``, which
 constructors use for short words.  Codes follow first use, so they
-differ between processes; nothing is printed or ordered by code.
+differ between processes; nothing is printed or ordered by code.  The
+table also holds the token of each signed code in ``_NAMES`` (``s1``
+and ``s1^-1``), so ``format_word`` prints a single letter by one lookup.
 
 Three typed symbol kinds exist (crossing generators ``s``, surface loops
 ``a``, band generators ``t``) together with named abstract atoms.  Typed
@@ -140,10 +142,11 @@ def check_gen(gen: Gen, n: int, g: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the symbol table: append-only, indexed by positive code (0 is unused)
+# the symbol table: append-only; _GENS is indexed by positive code (0 is unused),
+# _NAMES holds the token of each signed code (``s1`` and ``s1^-1``)
 
 _GENS: list[Gen | None] = [None]
-_NAMES: list[str] = [""]
+_NAMES: dict[int, str] = {}
 _CODES: dict[Gen, int] = {}
 _TABLE_LOCK = threading.Lock()
 
@@ -157,7 +160,8 @@ def code(gen: Gen) -> int:
             if c is None:
                 c = len(_GENS)
                 _GENS.append(gen)
-                _NAMES.append(str(gen))
+                _NAMES[c] = name = str(gen)
+                _NAMES[-c] = name + "^-1"
                 _CODES[gen] = c
     return c
 
@@ -505,14 +509,13 @@ def format_word(w: Word) -> str:
             k += 1
         else:
             if k:
-                parts.append(_power(run, k))
+                parts.append(_NAMES[run] if k == 1 else _power(run, k))
             run, k = c, 1
     if k:
-        parts.append(_power(run, k))
+        parts.append(_NAMES[run] if k == 1 else _power(run, k))
     return " ".join(parts)
 
 
 def _power(c: int, k: int) -> str:
-    if c > 0:
-        return _NAMES[c] if k == 1 else f"{_NAMES[c]}^{k}"
-    return f"{_NAMES[-c]}^{-k}"
+    """The token of the run c^k, k >= 2."""
+    return f"{_NAMES[abs(c)]}^{k if c > 0 else -k}"
