@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Iterator
 
 from braidhomotopy.words import (
@@ -250,17 +250,17 @@ class RelatorFamily:
     def conjugators(self, i: int) -> list[tuple[str, tuple, tuple]]:
         """(label tag, expansion codes, inverse codes) per conjugator h of strand i,
         in stream order up to the family's bound; each expansion and its inverse
-        extend their parent prefix's by one join each.  ``check_cap`` refuses the
-        strand before any is built."""
+        extend their parent entry's (see ``enumerate_shortlex``) by one join each.
+        ``check_cap`` refuses the strand before any is built."""
         self.check_cap(i)
-        image = self._images[i]
-        expansion: dict[tuple[int, ...], tuple[tuple, tuple]] = {(): ((), ())}
-        out = []
-        for h in enumerate_shortlex(self.strand_basis(i), self.bound, self.n, self.g):
-            if h:
-                (hw, hw_inv), c = expansion[h.codes[:-1]], h.codes[-1]
-                expansion[h.codes] = join_codes(hw, image[c]), join_codes(image[-c], hw_inv)
-            out.append((format_word(h).replace(" ", ",") or "1", *expansion[h.codes]))
+        image, basis = self._images[i], self.strand_basis(i)
+        out = [("1", (), ())]
+        words = islice(enumerate_shortlex(basis, self.bound, self.n, self.g), 1, None)
+        for k, h in enumerate(words, 1):
+            _, hw, hw_inv = out[0 if k <= 2 * len(basis) else (k - 2) // (2 * len(basis) - 1)]
+            c = h.codes[-1]
+            out.append((format_word(h).replace(" ", ","),
+                        join_codes(hw, image[c]), join_codes(image[-c], hw_inv)))
         return out
 
     def check_cap(self, i: int | None = None) -> None:

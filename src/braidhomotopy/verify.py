@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from braidhomotopy.perms import (
     TABLE_MAX_N,
@@ -98,8 +98,7 @@ def parse_invariants(text: str) -> AbelianInvariants:
     return AbelianInvariants(free, tuple(sorted(torsion)))
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     record_id: str
     oracle: str
     passed: bool
@@ -157,27 +156,26 @@ class Report:
 
 def abelianized_matrix(p: Presentation) -> list[list[int]]:
     """Exponent-sum matrix: a row per relator, families included; a column per generator."""
-    return _exponent_rows(p, (rel for _, rel in p.iter_relators()))
+    return list(_exponent_rows(p, (rel for _, rel in p.iter_relators())))
 
 
-def _exponent_rows(p: Presentation, relators) -> list[list[int]]:
-    """A row of exponent sums per relator in ``relators``, a column per generator of ``p``."""
+def _exponent_rows(p: Presentation, relators) -> Iterator[list[int]]:
+    """Yield a row of exponent sums per relator in ``relators``, a column per generator of ``p``."""
     column = {code(gen): col for col, gen in enumerate(p.generators)}
-    rows = []
     for rel in relators:
         row = [0] * len(column)
         for c, k in Counter(rel.codes).items():
             row[column[abs(c)]] += k if c > 0 else -k
-        rows.append(row)
-    return rows
+        yield row
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]],
+def smith_normal_form(mat: Iterable[Sequence[int]],
                       ncols: int | None = None) -> AbelianInvariants:
     """Invariant factors of the cokernel of an integer matrix.
 
     Rows are relations, columns generators; the result describes
-    Z^ncols / rowspace.  Exact arbitrary-precision arithmetic.
+    Z^ncols / rowspace.  Exact arbitrary-precision arithmetic.  Given
+    ``ncols``, ``mat`` may be any iterable; only its nonzero rows are copied.
 
     Least-pivot elimination: pivot on a least nonzero |entry| and clear
     its column, then its row, by floor division.  A nonzero remainder is
@@ -190,7 +188,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]],
         if not mat:
             raise ValueError("empty matrix needs an explicit column count")
         ncols = len(mat[0])
-    a = [list(row) for row in mat if any(row)]
+    a = [list(row) for row in mat if any(row) or len(row) != ncols]
     if any(len(row) != ncols for row in a):
         raise ValueError("ragged matrix")
     diagonal = []

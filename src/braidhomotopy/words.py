@@ -409,7 +409,8 @@ def enumerate_shortlex(basis: Sequence[Gen], max_len: int,
     """Yield every freely reduced word of length <= max_len exactly once.
 
     Order is shortlex with letter ranks: basis symbols first (in the
-    given order), then their inverses.
+    given order), then their inverses.  So with r = len(basis), word k >= 1
+    is word ``0 if k <= 2r else (k - 2) // (2r - 1)`` plus one letter.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")

@@ -136,6 +136,10 @@ def test_smith_normal_form_refuses_an_empty_or_ragged_matrix():
         smith_normal_form([])
     with pytest.raises(ValueError, match="^ragged matrix$"):
         smith_normal_form([[1, 2], [3]])
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        smith_normal_form([[1, 2], [0]])
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        smith_normal_form([[1, 2], [0, 0, 0]])
 
 
 def test_an_atom_needs_a_name():
