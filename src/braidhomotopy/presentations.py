@@ -78,7 +78,7 @@ from braidhomotopy.words import (
 
 MAX_CONJUGATORS = 250_000  # per strand; the n = 5, g = 2, bound-4 strand has 57,857
 MAX_CONJUGATOR_LETTERS = 2_000_000  # per strand, count x bound; rank 2, bound 10: 1,180,970
-MAX_STRANDS = 256  # h1 --family goldsmith -n 256 --lh-bound 1 takes about 1 s
+MAX_STRANDS = 256  # h1 --family goldsmith -n 256 --lh-bound 1 takes 0.30-0.32 s on a Xeon
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +179,12 @@ class RelatorFamily:
     def __reduce__(self):  # ``_images`` holds per-process codes: pickle the fields only
         return RelatorFamily, (self.kind, self.n, self.g, self.strand, self.bound)
 
+    def _basis(self, i: int) -> Iterator[Gen]:  # a_{i,1}..a_{i,2g}, then t_{i,i+1}..t_{i,n}
+        yield from (loop(i, r) for r in range(1, 2 * self.g + 1))
+        yield from (band(i, m) for m in range(i + 1, self.n + 1))
+
     def strand_basis(self, i: int) -> tuple[Gen, ...]:
-        loops = tuple(loop(i, r) for r in range(1, 2 * self.g + 1))
-        bands = tuple(band(i, m) for m in range(i + 1, self.n + 1))
-        return loops + bands
+        return tuple(self._basis(i))
 
     def _strands(self) -> range:
         """The strands i the family ranges over: 1..n-1 for HN, else its own."""
@@ -199,18 +201,19 @@ class RelatorFamily:
                                lambda gen: spell(gen, self.n, self.g))[0]
                 for i in self._strands()}
 
-    def alphabet(self) -> set[Gen]:
-        """Every symbol the relators can use, from the strand bases without spelling them:
-        the basis for LH1; else per strand i, t_{i,n}'s crossings s_i..s_{n-1} and, with
-        g >= 1, a_{1,1}..a_{1,2g} and the s_1..s_{i-1} that push a_{i,r} down to them."""
+    def _letters(self) -> Iterator[Gen]:
+        """Every symbol the relators can use, once each in ``Gen.sort_key`` order, without
+        spelling them: the basis for LH1; else, if a strand i exists, t_{i,n}'s s_i..s_{n-1}
+        for the least i (from s_1 if g >= 1, to push a_{i,r} down) and a_{1,1}..a_{1,2g}."""
         if self.kind == "LH1":
-            gens = list(self.strand_basis(self.strand))
-        else:
-            gens = []
-            for i in self._strands():
-                gens += [sigma(k) for k in range(1 if self.g else i, self.n)]
-                gens += [loop(1, r) for r in range(1, 2 * self.g + 1)]
-        return {symbol(c) for c in set(map(code, gens))}
+            yield from self._basis(self.strand)
+        elif self._strands():
+            yield from map(sigma, range(1 if self.g else self._strands()[0], self.n))
+            yield from (loop(1, r) for r in range(1, 2 * self.g + 1))
+
+    def alphabet(self) -> set[Gen]:
+        """The set of ``_letters``, each mapped through ``symbol`` once."""
+        return {symbol(code(gen)) for gen in self._letters()}
 
     def bands(self) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
         """Per strand i the family ranges over, (j, codes of t_{i,j} as the relators
@@ -353,10 +356,9 @@ class Presentation:
             if not letters.issuperset(rel.codes):
                 bad = next(c for c in rel.codes if c not in letters)
                 raise ValueError(f"relator {label} uses non-generator {symbol(bad)}")
-        for fam in self.families:
-            missing = fam.alphabet().difference(self.generators)
-            if missing:
-                bad = min(missing, key=Gen.sort_key)
+        for fam in self.families:  # read up to the first non-generator: g may be huge
+            bad = next((gen for gen in fam._letters() if code(gen) not in letters), None)
+            if bad is not None:
                 raise ValueError(f"relator family {fam.kind} (strand {fam.strand}) "
                                  f"uses non-generator {bad}")
 

@@ -3,7 +3,11 @@
 ``RelatorFamily.alphabet`` is stated in closed form from the strand
 bases, so building a presentation spells no image table; ``h1`` reads
 the finite relators of its presentation without building another one.
+``Presentation`` reads a family's letters in ``Gen.sort_key`` order only up
+to the first one that is not a generator, and names that one.
 """
+
+import random
 
 import pytest
 
@@ -16,7 +20,7 @@ from braidhomotopy.presentations import (
     surface_braid_presentation,
 )
 from braidhomotopy.verify import h1
-from braidhomotopy.words import symbol
+from braidhomotopy.words import Gen, symbol
 
 
 def _alphabet_from_images(fam):
@@ -64,3 +68,42 @@ def test_h1_reads_the_finite_relators_alone(monkeypatch, build):
     monkeypatch.setattr(RelatorFamily, "instances", None)  # streaming a family would fail
     assert h1(p) == expected
     assert built == []
+
+
+def test_a_quotient_on_256_strands_builds_one_gen_per_letter(monkeypatch):
+    p = surface_braid_presentation(256, 1)
+    built = []
+    real = Gen.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Gen, "__init__", spy)
+    homotopy_quotient(p, 1)
+    # 255 crossings and 2 loops; spelling each strand's letters built 255 x 257 = 65,535
+    assert len(built) <= 257
+
+
+def _old_refusal(fam, generators):
+    """The family rule as it was: the least missing letter by ``Gen.sort_key``."""
+    missing = _alphabet_from_images(fam).difference(generators)
+    return min(missing, key=Gen.sort_key) if missing else None
+
+
+def test_the_refusal_names_the_least_missing_letter_on_every_small_family():
+    rng = random.Random(2024)
+    for kind, n, g, strand in FAMILIES:
+        fam = RelatorFamily(kind, n, g, strand, 1)
+        letters = list(fam._letters())
+        assert letters == sorted(set(letters), key=Gen.sort_key), (kind, n, g, strand)
+        for _ in range(4):
+            gens = tuple(gen for gen in letters if rng.random() < 0.7)
+            bad = _old_refusal(fam, gens)
+            if bad is None:
+                Presentation("custom", n, g, None, 1, gens, (), (), (fam,))
+                continue
+            with pytest.raises(ValueError) as exc:
+                Presentation("custom", n, g, None, 1, gens, (), (), (fam,))
+            assert str(exc.value) == (f"relator family {kind} (strand {strand}) "
+                                      f"uses non-generator {bad}")

@@ -87,6 +87,31 @@ def test_a_hostile_bound_is_counted_at_once(rank, bound):
     assert count == 1 if rank == 0 else count > MAX_CONJUGATORS
 
 
+_GENUS = """
+import sys, time
+from braidhomotopy.cli import run_command
+t = time.perf_counter()
+code, _, err = run_command(sys.argv[1:])
+print(repr((code, err.decode(), time.perf_counter() - t)))
+"""
+
+
+@pytest.mark.parametrize("command", [["h1"], ["verify", "purity"]])
+@pytest.mark.parametrize("kind,strand", [("LH", 1), ("HN", 0), ("LH1", 1)])
+def test_a_hostile_genus_is_refused_at_once(tmp_path, command, kind, strand):
+    # the family check reads letters up to the first non-generator, a1.1, so the
+    # 2 * 10**9 loops that g names are never spelled
+    doc = {"family": "custom", "n": 2, "g": 10**9, "closed": None, "lh_bound": None,
+           "generators": ["s1"], "relators": [],
+           "families": [{"kind": kind, "strand": strand, "bound": 1}]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, err, seconds = _child(_GENUS, *command, "--input", str(path))
+    assert (code, err) == (
+        2, f"error: relator family {kind} (strand {strand}) uses non-generator a1.1\n")
+    assert seconds < 0.5
+
+
 def test_no_caller_clamps_the_bound():
     for module in (presentations, verify):
         tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
