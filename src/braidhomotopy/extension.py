@@ -17,9 +17,10 @@ leave, and the gap's last letter is deduced (see ``todd_coxeter``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from braidhomotopy.presentations import (
     Presentation,
@@ -321,10 +322,11 @@ def _columns(generators: Sequence[Gen]) -> dict[int, int]:
 
 
 def _columns_of(codes: Sequence[int], columns: dict[int, int]) -> list[int]:
-    if not columns.keys() >= set(codes):
+    try:
+        return [columns[c] for c in codes]
+    except KeyError:
         bad = next(c for c in codes if c not in columns)
-        raise ValueError(f"word letter {symbol(bad)} is not a presentation generator")
-    return [columns[c] for c in codes]
+        raise ValueError(f"word letter {symbol(bad)} is not a presentation generator") from None
 
 
 class _Overflow(Exception):
@@ -362,10 +364,22 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     builds no relator), that table is returned.  Otherwise the families are
     streamed once; an empty stream returns the first table, and any other
     reruns the enumeration from scratch over all relators, finite ones
-    first, so an overflowing first stage costs a second full enumeration.
-    So every overflow, and every index the one-stage enumeration reaches,
-    stays as it was; the first stage may also close where that one
-    overflows, and its table may number cosets differently.
+    first.  So every overflow, and every index the one-stage enumeration
+    reaches, stays as it was; the first stage may also close where that
+    one overflows, and its table may number cosets differently.
+
+    A first stage that cannot close is skipped.  An enumeration closes
+    exactly when the index is finite, and if the exponent sums of the
+    subgroup words and the finite relators span less than Z^k, over k
+    generators, the group maps onto the infinite Z^k / span with the
+    subgroup in the kernel, so the index is infinite.  Every family
+    relator is a commutator, with zero exponent sums, so neither stage can
+    close: with families, ``_rank`` checks this first, and where it holds
+    only the rerun runs (on an empty stream, that is the first stage
+    itself), with the status, live count and memory refusal the two
+    stages give.  A first stage with a finite abelian quotient that still
+    overflows, such as that of <s1 s2, s2 s1^2 s2^-1> in Goldsmith's
+    group on 3 strands, is still followed by the rerun.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
@@ -375,15 +389,58 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     columns = _columns(gens)
     finite = [_columns_of(w.codes, columns) for w in p.relators]
     subgroup_cols = [_columns_of(w.codes, columns) for w in subgroup]
-    table = _enumerate(gens, finite, subgroup_cols, max_cosets)
-    if table.status == "closed" and _families_fix_every_coset(table, p.families, columns):
-        return table
+    k = len(gens)
+    staged = not p.families or _rank(_exponent_sums(subgroup_cols + finite, k), k) == k
+    if staged:
+        table = _enumerate(gens, finite, subgroup_cols, max_cosets)
+        if table.status == "closed" and _families_fix_every_coset(table, p.families, columns):
+            return table
     families = [_columns_of(w.codes, columns)
                 for _, w in islice(p.iter_relators(), len(p.relators), None)]
-    if not families:
+    if staged and not families:
         return table
-    del table  # so the rerun alone holds a table
+    table = None  # so the rerun alone holds a table
     return _enumerate(gens, finite + families, subgroup_cols, max_cosets)
+
+
+def _exponent_sums(words: Iterable[list[int]], k: int) -> Iterator[list[int]]:
+    """The exponent sum of each of the k generators in each word given as columns."""
+    for word in words:
+        row = [0] * k
+        for col in word:
+            row[col >> 1] += -1 if col & 1 else 1
+        yield row
+
+
+def _rank(rows: Iterable[Sequence[int]], k: int) -> int:
+    """Rank over Q of integer rows of length k, read only until it reaches k.
+
+    Exact fraction-free elimination: each row is cleared, left to right,
+    against the echelon row of each pivot column it meets, and the first
+    column it has no pivot for takes it, divided by its content, as the
+    (pivot entry, nonzero entries) of that column's echelon row.  A pivot
+    entry of +-1, the usual case, clears a row without scaling it."""
+    echelon: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+    for row in rows:
+        row = list(row)
+        for col in range(k):
+            x = row[col]
+            if not x:
+                continue
+            if (pivot := echelon.get(col)) is None:
+                d = math.gcd(*row)
+                echelon[col] = (x // d, [(c, a // d) for c, a in enumerate(row) if a])
+                if len(echelon) == k:
+                    return k
+                break
+            p, entries = pivot
+            if p == 1 or p == -1:
+                x *= p
+            else:
+                row = [p * a for a in row]
+            for c, b in entries:
+                row[c] -= x * b
+    return len(echelon)
 
 
 def _families_fix_every_coset(table: CosetTable, families: Sequence[RelatorFamily],

@@ -273,7 +273,7 @@ class RelatorFamily:
         passes ``MAX_CONJUGATOR_LETTERS`` (only at rank 1, where a few
         conjugators hold about bound^2 letters)."""
         for s in self._strands() if i is None else (i,):
-            count = _conjugator_count(len(self.strand_basis(s)), self.bound)
+            count = _conjugator_count(2 * self.g + self.n - s, self.bound)  # |strand_basis(s)|
             if count > MAX_CONJUGATORS:
                 raise ResourceLimitError(
                     f"relator family {self.kind} (strand {s}) has more than "

@@ -5,9 +5,12 @@ bases, so building a presentation spells no image table; ``h1`` reads
 the finite relators of its presentation without building another one.
 ``Presentation`` reads a family's letters in ``Gen.sort_key`` order only up
 to the first one that is not a generator, and names that one.
+``RelatorFamily.check_cap`` counts a strand's conjugators from the basis
+size 2g + n - s, without building the basis.
 """
 
 import random
+import time
 
 import pytest
 
@@ -20,7 +23,7 @@ from braidhomotopy.presentations import (
     surface_braid_presentation,
 )
 from braidhomotopy.verify import h1
-from braidhomotopy.words import Gen, symbol
+from braidhomotopy.words import Gen, ResourceLimitError, symbol
 
 
 def _alphabet_from_images(fam):
@@ -107,3 +110,27 @@ def test_the_refusal_names_the_least_missing_letter_on_every_small_family():
                 Presentation("custom", n, g, None, 1, gens, (), (), (fam,))
             assert str(exc.value) == (f"relator family {kind} (strand {strand}) "
                                       f"uses non-generator {bad}")
+
+
+def test_check_cap_counts_the_strand_basis_on_every_small_family(monkeypatch):
+    # ``check_cap`` states each strand's rank as 2g + n - s; it must be the
+    # size of the basis it no longer builds
+    ranks = []
+    count = presentations._conjugator_count
+    monkeypatch.setattr(presentations, "_conjugator_count",
+                        lambda rank, bound: ranks.append(rank) or count(rank, bound))
+    for kind, n, g, strand in FAMILIES:
+        fam = RelatorFamily(kind, n, g, strand, 1)
+        ranks.clear()
+        fam.check_cap()
+        assert ranks == [len(fam.strand_basis(s)) for s in fam._strands()], (kind, n, g, strand)
+
+
+def test_a_genus_of_a_million_is_refused_without_spelling_its_loops():
+    # building the 2 x 10^6 basis letters only to count them took 2.4 s
+    fam = RelatorFamily("LH", 2, 10**6, 1, 1)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"^relator family LH \(strand 1\) has more "
+                                                 rf"than {presentations.MAX_CONJUGATORS} "):
+        fam.check_cap()
+    assert time.perf_counter() - start < 0.1
