@@ -18,6 +18,7 @@ leave, and the gap's last letter is deduced (see ``todd_coxeter``).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -260,17 +261,54 @@ def eliminate_all(p: Presentation, gens: Sequence[Gen]) -> Presentation:
 _UNDEF = -1
 
 
-@dataclass
 class CosetTable:
-    """Closed (or overflowed) coset table over generator/inverse columns."""
+    """Closed (or overflowed) coset table over generator/inverse columns.
 
-    generators: tuple[Gen, ...]
-    rows: list[list[int]]
-    status: str
+    ``CosetTable(generators, rows, status)`` holds the given rows.  A table
+    from ``todd_coxeter`` holds the enumeration's own rows (whose entries may
+    name dead cosets), union-find ``labels`` and ``live`` count, which is
+    ``coset_count``.  The first read of ``rows`` numbers the live cosets, under
+    a lock so that concurrent readers see only the finished rows, and drops
+    the enumeration's; a caller that reads only the count never renumbers.
+    """
+
+    __slots__ = ("generators", "status", "_rows", "_raw", "_live", "_lock")
+
+    def __init__(self, generators: tuple[Gen, ...], rows: list[list[int]], status: str,
+                 *, labels: list[int] | None = None, live: int = 0) -> None:
+        self.generators, self.status, self._lock = generators, status, threading.Lock()
+        if labels is None:
+            self._rows, self._raw, self._live = rows, None, len(rows)
+        else:
+            self._rows, self._raw, self._live = None, (rows, labels), live
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """One row per live coset, in order of definition; an entry is a row
+        number, or ``_UNDEF`` where an overflowed table has none."""
+        if self._rows is None:
+            with self._lock:
+                if self._rows is None:
+                    self._rows = _renumber(*self._raw)
+                    self._raw = None
+        return self._rows
 
     @property
     def coset_count(self) -> int:
-        return len(self.rows)
+        """The live cosets: the index, if the table is closed."""
+        return self._live
+
+    def __eq__(self, other):
+        if not isinstance(other, CosetTable):
+            return NotImplemented
+        return (self.generators, self.rows, self.status) == (other.generators, other.rows,
+                                                              other.status)
+
+    def __repr__(self) -> str:
+        return f"CosetTable({self.generators!r}, {self.rows!r}, {self.status!r})"
+
+    def __reduce__(self):  # a lock does not pickle: pickle the numbered rows
+        return CosetTable, (self.generators, self.rows, self.status)
 
     def to_csv(self) -> str:
         header = ["coset"]
@@ -285,8 +323,12 @@ class CosetTable:
 
     def act(self, word: Sequence[int], cosets: Sequence[int] | None = None) -> list[int]:
         """The coset c·w of each of the cosets (default: all), for a word given
-        as columns; needs a complete table.  A closed table is the action ρ of
-        the group on the cosets, and ``act(w)`` is the permutation ρ(w)."""
+        as columns.  A closed table is the action ρ of the group on the cosets,
+        and ``act(w)`` is the permutation ρ(w); any other raises ValueError, as
+        its undefined entries name no coset."""
+        if self.status != "closed":
+            raise ValueError(f"act needs a closed coset table, not one with status "
+                             f"{self.status!r}")
         rows = self.rows
         images = list(range(len(rows))) if cosets is None else list(cosets)
         for col in word:
@@ -336,7 +378,9 @@ class _Overflow(Exception):
 DEFAULT_MAX_COSETS = 100_000
 # memory ceiling of one enumeration: a defined coset costs at most about
 # _COSET_BYTES plus _COLUMN_BYTES per column (343-4,391 B measured at 2-202
-# columns, the final numbering included)
+# columns): its row and label, and its share of the numbered rows that the
+# first read of CosetTable.rows builds beside them; a caller that reads only
+# the count never builds those
 MAX_TABLE_BYTES = 256 << 20
 _COSET_BYTES, _COLUMN_BYTES = 320, 24
 
@@ -351,7 +395,10 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     its inverse until each meets an undefined entry; cosets are defined
     only inside the gap between the two, whose last letter is deduced.
     Scans that meet unify their ends.  A closed table's coset count is
-    the index and its rows are the live cosets in order of definition;
+    the index and its rows are the live cosets in order of definition.
+    The count is the enumeration's live count; the rows are numbered on
+    their first read (``CosetTable.rows``), so a caller that reads only
+    the count, as ``tc`` without ``--table-out`` does, never renumbers.
     ``max_cosets`` caps the cosets defined, live or dead, by each
     enumeration, and exceeding it gives status "overflow", not an error.
     Defining a coset past ``MAX_TABLE_BYTES`` of estimated memory, below
@@ -472,6 +519,7 @@ def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],
     # coset) and one row per coset, whose entries may name dead cosets
     labels = [0]
     table = [[_UNDEF] * ncols]
+    merged = 0  # cosets unify has killed: the live count is len(labels) - merged
 
     def rep(c: int) -> int:
         while labels[c] != c:
@@ -479,6 +527,7 @@ def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],
         return c
 
     def unify(c1: int, c2: int) -> None:
+        nonlocal merged
         queue = [(c1, c2)]
         while queue:
             a, b = queue.pop()
@@ -489,6 +538,7 @@ def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],
             if b < a:
                 a, b = b, a
             labels[b] = a
+            merged += 1
             row_a = table[a]
             # entries are defined in inverse pairs, so nb's row already
             # leads back into b's class, which is now a's
@@ -554,6 +604,12 @@ def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],
             c += 1
     except _Overflow:
         status = "overflow"
+    return CosetTable(gens, table, status, labels=labels, live=len(labels) - merged)
+
+
+def _renumber(table: list[list[int]], labels: list[int]) -> list[list[int]]:
+    """The rows of the live cosets of an enumeration's table, numbered 0.. in
+    order of definition, with each entry's coset replaced by its live class."""
     # a dead coset's label is older, so its row number is already known
     number, live = [], []
     for c, label in enumerate(labels):
@@ -561,7 +617,7 @@ def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],
         if label == c:
             live.append(c)
     number.append(_UNDEF)  # number[_UNDEF] is _UNDEF
-    return CosetTable(gens, [[number[v] for v in table[c]] for c in live], status)
+    return [[number[v] for v in table[c]] for c in live]
 
 
 # ---------------------------------------------------------------------------

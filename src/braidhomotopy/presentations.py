@@ -190,15 +190,16 @@ class RelatorFamily:
         """The strands i the family ranges over: 1..n-1 for HN, else its own."""
         return range(1, self.n) if self.kind == "HN" else range(self.strand, self.strand + 1)
 
+    def _spell(self, gen: Gen) -> Word:
+        """A basis letter as the relators spell it: expanded unless LH1."""
+        return (gen_word if self.kind == "LH1" else expand_gen)(gen, self.n, self.g)
+
     @cached_property
     def _images(self) -> dict[int, dict[int, tuple[int, ...]]]:
         """Per strand i the family ranges over, the codes of each strand-i basis letter
-        and of its inverse, by signed letter code, as the relators spell them (expanded
-        unless LH1); built once per family, by its first ``bands`` or ``conjugators``
-        call."""
-        spell = gen_word if self.kind == "LH1" else expand_gen
-        return {i: image_table(map(code, self.strand_basis(i)),
-                               lambda gen: spell(gen, self.n, self.g))[0]
+        and of its inverse, by signed letter code, as ``_spell`` gives them; built once
+        per family, by its first ``conjugators`` call."""
+        return {i: image_table(map(code, self.strand_basis(i)), self._spell)[0]
                 for i in self._strands()}
 
     def _letters(self) -> Iterator[Gen]:
@@ -218,9 +219,10 @@ class RelatorFamily:
     def bands(self) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
         """Per strand i the family ranges over, (j, codes of t_{i,j} as the relators
         spell it) for each band t_{i,j}: every relator is [t, h t h^-1] for one of
-        these t.  Read by ``instances`` and ``extension._families_fix_every_coset``."""
-        return {i: [(j, image[code(band(i, j))]) for j in range(i + 1, self.n + 1)]
-                for i, image in self._images.items()}
+        these t.  Read by ``instances`` and ``extension._families_fix_every_coset``;
+        it spells the bands alone, so it builds no loop image and no ``_images``."""
+        return {i: [(j, self._spell(band(i, j)).codes) for j in range(i + 1, self.n + 1)]
+                for i in self._strands()}
 
     def instances(self) -> Iterator[tuple[str, Word]]:
         """Yield (label, relator) pairs up to the family's bound, skipping
