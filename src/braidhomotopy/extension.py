@@ -21,13 +21,14 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from braidhomotopy.presentations import (
     Presentation,
     RelatorFamily,
     _fields,
     _presentation,
+    exponent_rows,
     presentation_from_doc,
     presentation_to_doc,
     pure_homotopy_presentation,
@@ -421,7 +422,8 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     generators, the group maps onto the infinite Z^k / span with the
     subgroup in the kernel, so the index is infinite.  Every family
     relator is a commutator, with zero exponent sums, so neither stage can
-    close: with families, ``_rank`` checks this first, and where it holds
+    close: with families, ``_rank`` checks this first, on the rows of
+    ``presentations.exponent_rows`` that ``h1`` reads too, and where it holds
     only the rerun runs (on an empty stream, that is the first stage
     itself), with the status, live count and memory refusal the two
     stages give.  A first stage with a finite abelian quotient that still
@@ -437,7 +439,7 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     finite = [_columns_of(w.codes, columns) for w in p.relators]
     subgroup_cols = [_columns_of(w.codes, columns) for w in subgroup]
     k = len(gens)
-    staged = not p.families or _rank(_exponent_sums(subgroup_cols + finite, k), k) == k
+    staged = not p.families or _rank(exponent_rows(p, [*subgroup, *p.relators]), k) == k
     if staged:
         table = _enumerate(gens, finite, subgroup_cols, max_cosets)
         if table.status == "closed" and _families_fix_every_coset(table, p.families, columns):
@@ -448,15 +450,6 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
         return table
     table = None  # so the rerun alone holds a table
     return _enumerate(gens, finite + families, subgroup_cols, max_cosets)
-
-
-def _exponent_sums(words: Iterable[list[int]], k: int) -> Iterator[list[int]]:
-    """The exponent sum of each of the k generators in each word given as columns."""
-    for word in words:
-        row = [0] * k
-        for col in word:
-            row[col >> 1] += -1 if col & 1 else 1
-        yield row
 
 
 def _rank(rows: Iterable[Sequence[int]], k: int) -> int:

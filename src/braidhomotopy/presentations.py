@@ -42,10 +42,11 @@ size rule: too few strands or too small a genus raise ValueError, over
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from braidhomotopy.words import (
     AlphabetError,
@@ -85,12 +86,16 @@ MAX_STRANDS = 256  # h1 --family goldsmith -n 256 --lh-bound 1 takes 0.30-0.32 s
 # derived-generator expansions
 
 
-@lru_cache(maxsize=None)
 def expand_t(i: int, j: int, n: int, g: int = 0) -> Word:
     """Band generator t_{i,j} as a crossing word (rule R9 style)."""
+    return _expand_t(i, j, n, g)  # g spelled out: one cache key per band
+
+
+@lru_cache(maxsize=None)
+def _expand_t(i: int, j: int, n: int, g: int) -> Word:
     check_gen(band(i, j), n, g)
     # s_i .. s_{j-1}: the first j-1-i codes of t_{i,j-1} are s_i .. s_{j-2}
-    up = (expand_t(i, j - 1, n, g).codes[:j - 1 - i] if j > i + 1 else ()) + (code(sigma(j - 1)),)
+    up = (_expand_t(i, j - 1, n, g).codes[:j - 1 - i] if j > i + 1 else ()) + (code(sigma(j - 1)),)
     return Word.from_codes(up + up[-1:] + inverse_codes(up[:-1]), (n, g))
 
 
@@ -159,6 +164,9 @@ class RelatorFamily:
     Labels and the skipping of freely trivial instances are part of the
     contract too: serialized presentations and their digests depend on
     all three.
+
+    A family is a plain value: it holds its five fields and caches nothing,
+    so it pickles as them and a stream spells each strand afresh.
     """
 
     kind: str
@@ -176,9 +184,6 @@ class RelatorFamily:
             raise ValueError(f"relator family {self.kind} on {self.n} strands "
                              f"cannot have strand {self.strand}")
 
-    def __reduce__(self):  # ``_images`` holds per-process codes: pickle the fields only
-        return RelatorFamily, (self.kind, self.n, self.g, self.strand, self.bound)
-
     def _basis(self, i: int) -> Iterator[Gen]:  # a_{i,1}..a_{i,2g}, then t_{i,i+1}..t_{i,n}
         yield from (loop(i, r) for r in range(1, 2 * self.g + 1))
         yield from (band(i, m) for m in range(i + 1, self.n + 1))
@@ -193,14 +198,6 @@ class RelatorFamily:
     def _spell(self, gen: Gen) -> Word:
         """A basis letter as the relators spell it: expanded unless LH1."""
         return (gen_word if self.kind == "LH1" else expand_gen)(gen, self.n, self.g)
-
-    @cached_property
-    def _images(self) -> dict[int, dict[int, tuple[int, ...]]]:
-        """Per strand i the family ranges over, the codes of each strand-i basis letter
-        and of its inverse, by signed letter code, as ``_spell`` gives them; built once
-        per family, by its first ``conjugators`` call."""
-        return {i: image_table(map(code, self.strand_basis(i)), self._spell)[0]
-                for i in self._strands()}
 
     def _letters(self) -> Iterator[Gen]:
         """Every symbol the relators can use, once each in ``Gen.sort_key`` order, without
@@ -220,7 +217,7 @@ class RelatorFamily:
         """Per strand i the family ranges over, (j, codes of t_{i,j} as the relators
         spell it) for each band t_{i,j}: every relator is [t, h t h^-1] for one of
         these t.  Read by ``instances`` and ``extension._families_fix_every_coset``;
-        it spells the bands alone, so it builds no loop image and no ``_images``."""
+        it spells the bands alone, so it builds no loop image and no image table."""
         return {i: [(j, self._spell(band(i, j)).codes) for j in range(i + 1, self.n + 1)]
                 for i in self._strands()}
 
@@ -256,9 +253,11 @@ class RelatorFamily:
         """(label tag, expansion codes, inverse codes) per conjugator h of strand i,
         in stream order up to the family's bound; each expansion and its inverse
         extend their parent entry's (see ``enumerate_shortlex``) by one join each.
-        ``check_cap`` refuses the strand before any is built."""
+        ``check_cap`` refuses the strand before any is built; strand i's image
+        table is built here and dropped with the call."""
         self.check_cap(i)
-        image, basis = self._images[i], self.strand_basis(i)
+        basis = self.strand_basis(i)
+        image = image_table(map(code, basis), self._spell)[0]
         out = [("1", (), ())]
         words = islice(enumerate_shortlex(basis, self.bound, self.n, self.g), 1, None)
         for k, h in enumerate(words, 1):
@@ -377,6 +376,16 @@ class Presentation:
 
     def with_relator(self, label: str, rel: Word) -> "Presentation":
         return replace(self, relators=self.relators + (rel,), labels=self.labels + (label,))
+
+
+def exponent_rows(p: Presentation, words: Iterable[Word]) -> Iterator[list[int]]:
+    """Yield a row of exponent sums per word in ``words``, a column per generator of ``p``."""
+    column = {code(gen): col for col, gen in enumerate(p.generators)}
+    for w in words:
+        row = [0] * len(column)
+        for c, k in Counter(w.codes).items():
+            row[column[abs(c)]] += k if c > 0 else -k
+        yield row
 
 
 # ---------------------------------------------------------------------------

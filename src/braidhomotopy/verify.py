@@ -11,9 +11,8 @@ one verdict, since their identity does not depend on j.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from braidhomotopy.perms import (
     TABLE_MAX_N,
@@ -34,6 +33,7 @@ from braidhomotopy.presentations import (
     expand_gen,
     expand_t,
     expand_word,
+    exponent_rows,
 )
 from braidhomotopy.words import (
     ResourceLimitError,
@@ -45,7 +45,6 @@ from braidhomotopy.words import (
     format_word,
     gen_word,
     invert,
-    code,
     sigma,
     substitute,
     symbol,
@@ -156,17 +155,7 @@ class Report:
 
 def abelianized_matrix(p: Presentation) -> list[list[int]]:
     """Exponent-sum matrix: a row per relator, families included; a column per generator."""
-    return list(_exponent_rows(p, (rel for _, rel in p.iter_relators())))
-
-
-def _exponent_rows(p: Presentation, relators) -> Iterator[list[int]]:
-    """Yield a row of exponent sums per relator in ``relators``, a column per generator of ``p``."""
-    column = {code(gen): col for col, gen in enumerate(p.generators)}
-    for rel in relators:
-        row = [0] * len(column)
-        for c, k in Counter(rel.codes).items():
-            row[column[abs(c)]] += k if c > 0 else -k
-        yield row
+    return list(exponent_rows(p, (rel for _, rel in p.iter_relators())))
 
 
 def smith_normal_form(mat: Iterable[Sequence[int]],
@@ -220,8 +209,10 @@ def smith_normal_form(mat: Iterable[Sequence[int]],
 def h1(p: Presentation) -> AbelianInvariants:
     """Abelianization from the finite relators alone: the families are never
     streamed, since every instance [t, t^h] has zero exponent sums.  So the
-    result is that of the untruncated families, whatever their bound."""
-    return smith_normal_form(_exponent_rows(p, p.relators), ncols=len(p.generators))
+    result is that of the untruncated families, whatever their bound.  The
+    rows are those of ``exponent_rows``, which ``abelianized_matrix`` and
+    ``todd_coxeter``'s infinite-index certificate read too."""
+    return smith_normal_form(exponent_rows(p, p.relators), ncols=len(p.generators))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from braidhomotopy import extension
 from braidhomotopy.cli import run_command
 from braidhomotopy.extension import _columns, _columns_of, _families_fix_every_coset, todd_coxeter
 from braidhomotopy.presentations import (
+    exponent_rows,
     goldsmith_presentation,
     homotopy_generalized_presentation,
     pure_homotopy_presentation,
@@ -58,9 +59,7 @@ def _two_stage(p, subgroup, max_cosets=extension.DEFAULT_MAX_COSETS):
 
 def _exponent_rows(p, subgroup):
     """The exponent-sum rows ``todd_coxeter`` reads: subgroup words, then finite relators."""
-    columns = _columns(p.generators)
-    words = [_columns_of(w.codes, columns) for w in [*subgroup, *p.relators]]
-    return list(extension._exponent_sums(words, len(p.generators)))
+    return list(exponent_rows(p, [*subgroup, *p.relators]))
 
 
 def _certified(p, subgroup):

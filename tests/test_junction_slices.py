@@ -26,6 +26,7 @@ from braidhomotopy.words import (
     code,
     enumerate_shortlex,
     format_word,
+    image_table,
     inverse_codes,
     join_codes,
     loop,
@@ -52,7 +53,7 @@ def _instances_by_joins(fam):
 def _conjugators_by_inverse(fam, i):
     """``RelatorFamily.conjugators`` as it was: every inverse by ``inverse_codes``."""
     fam.check_cap(i)
-    image = fam._images[i]
+    image = image_table(map(code, fam.strand_basis(i)), fam._spell)[0]
     expansion = {(): ()}
     out = []
     for h in enumerate_shortlex(fam.strand_basis(i), fam.bound, fam.n, fam.g):

@@ -23,7 +23,7 @@ from braidhomotopy import extension, presentations
 from braidhomotopy.cli import run_command
 from braidhomotopy.extension import CosetTable, _UNDEF, todd_coxeter
 from braidhomotopy.presentations import RelatorFamily, goldsmith_presentation
-from braidhomotopy.words import atom, band, code, parse_word
+from braidhomotopy.words import atom, band, code, image_table, parse_word
 from test_staged_tc import _closed_tables, _word_subgroups
 
 
@@ -221,15 +221,16 @@ def test_act_refuses_an_overflowed_table():
     ("LH1", 3, 1, 1), ("LH", 2, 1, 2)])
 def test_bands_spell_what_the_image_table_holds(kind, n, g, strand):
     fam = RelatorFamily(kind, n, g, strand, 1)
+    images = {i: image_table(map(code, fam.strand_basis(i)), fam._spell)[0]
+              for i in fam._strands()}
     assert fam.bands() == {i: [(j, image[code(band(i, j))]) for j in range(i + 1, n + 1)]
-                           for i, image in RelatorFamily(kind, n, g, strand, 1)._images.items()}
+                           for i, image in images.items()}
 
 
 def test_a_pure_subgroup_family_check_spells_no_loop(monkeypatch):
-    def refuse(self):
-        raise AssertionError("_images built")
-
-    monkeypatch.setattr(RelatorFamily, "_images", property(refuse))
+    tables, real = [], presentations.image_table
+    monkeypatch.setattr(presentations, "image_table",
+                        lambda *args: tables.append(args) or real(*args))
     inside, loops = [], []
     expand_a, tc = presentations.expand_a, extension.todd_coxeter
 
@@ -250,4 +251,4 @@ def test_a_pure_subgroup_family_check_spells_no_loop(monkeypatch):
     argv = ["tc", "--family", "quotient", "-n", "5", "-g", "2", "--lh-bound", "1",
             "--subgroup", "pure"]
     assert run_command(argv) == (0, b"120\n", b"")
-    assert loops == []
+    assert loops == [] and tables == []

@@ -5,9 +5,10 @@ A letter's strand action is stated in ``perms.word_permutation`` alone:
 and composes them at any strand count.  The module-level mutable memos
 of ``words`` and ``perms`` are the symbol table (``_GENS``, ``_NAMES``,
 ``_CODES``) and the parser's bounded token cache (``_TOKENS``).  Those of
-``presentations`` are the caches of ``expand_t`` and ``expand_a``; a
-relator family keeps its strand images on itself.  No method carries a
-``functools`` cache, whose keys would keep every instance alive.
+``presentations`` are the caches of ``expand_t`` (behind the public
+function, one key per band) and ``expand_a``; a relator family caches
+nothing.  No method carries a ``functools`` cache, whose keys would keep
+every instance alive.
 """
 
 import ast
@@ -85,7 +86,7 @@ def test_the_detector_finds_a_cache_on_a_method():
 def test_presentations_caches_only_the_derived_generator_expansions():
     memos = _mutable_memos((PACKAGE / "presentations.py").read_text(encoding="utf-8"))
     # _JSON_TYPES is the JSON reader's field-type table, read and never written
-    assert memos == {"expand_t", "expand_a", "_JSON_TYPES"}
+    assert memos == {"_expand_t", "expand_a", "_JSON_TYPES"}
 
 
 def test_no_method_in_the_package_carries_a_cache():

@@ -1,11 +1,12 @@
 """One memo per fact in ``presentations``, on letter codes.
 
 ``expand_t`` spells t_{i,j} from the codes of t_{i,j-1}, one crossing
-appended, instead of one ``Gen`` per letter.  ``RelatorFamily`` keeps
-its strand images on the family itself, so a dropped family is freed
-with them, and ``alphabet`` maps each distinct letter code to its symbol
-once; a pickled family carries its fields only, since codes differ between
-processes.
+appended, instead of one ``Gen`` per letter, and its cache holds one key
+per band whether g is given or not.  ``RelatorFamily`` holds its five
+fields and nothing else: ``conjugators(i)`` builds strand i's image table
+and drops it with the call, so a dropped family is freed, and a pickled
+family carries only its fields, since codes differ between processes.
+``alphabet`` maps each distinct letter code to its symbol once.
 """
 
 import gc
@@ -27,7 +28,7 @@ from braidhomotopy.presentations import (
     presentation_to_text,
     surface_braid_presentation,
 )
-from braidhomotopy.words import Gen, Word, band, check_gen, sigma
+from braidhomotopy.words import Gen, Word, band, check_gen, code, sigma
 
 
 def _expand_t_by_letters(i, j, n, g=0):
@@ -43,12 +44,13 @@ def _expand_t_by_letters(i, j, n, g=0):
 def test_expand_t_spells_as_the_letter_by_letter_form_in_any_order(g):
     pairs = [(i, j, n) for n in range(2, 49) for i in range(1, n) for j in range(i + 1, n + 1)]
     random.Random(g).shuffle(pairs)  # t_{i,j} is sometimes built before t_{i,j-1}
-    expand_t.cache_clear()
+    presentations._expand_t.cache_clear()
     for i, j, n in pairs:
         assert expand_t(i, j, n, g) == _expand_t_by_letters(i, j, n, g), (i, j, n)
 
 
-def test_a_fresh_expand_t_builds_at_most_two_gens(monkeypatch):
+@pytest.mark.parametrize("g", [(), (0,)], ids=["g-default", "g-spelled"])
+def test_a_fresh_expand_t_builds_two_gens_under_one_cache_key(monkeypatch, g):
     made = []
     real = Gen.__init__
 
@@ -57,11 +59,14 @@ def test_a_fresh_expand_t_builds_at_most_two_gens(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(Gen, "__init__", counted)
-    expand_t.cache_clear()
+    presentations._expand_t.cache_clear()
     for j in range(2, 201):
-        made.clear()
-        expand_t(1, j, 200, 0)  # g spelled out, as every caller in the package does
-        assert len(made) <= 2, j
+        before = len(made)
+        expand_t(1, j, 200, *g)
+        assert len(made) - before <= 2, j
+    # a band and its last crossing per t_{1,j}; the 3-argument form made 794 and 397
+    assert len(made) == 398
+    assert presentations._expand_t.cache_info().currsize == 199
 
 
 def test_alphabet_maps_each_distinct_code_to_its_symbol_once(monkeypatch):
@@ -80,7 +85,7 @@ def test_alphabet_maps_each_distinct_code_to_its_symbol_once(monkeypatch):
 
 def test_a_dropped_family_is_collected():
     p = homotopy_quotient(surface_braid_presentation(3, 1), 1)
-    assert p.labeled_relators()  # the stream reads the family's images
+    assert p.labeled_relators()  # the stream builds each strand's image table
     family = weakref.ref(p.families[-1])
     del p
     gc.collect()
@@ -104,3 +109,25 @@ def test_a_pickled_family_streams_the_same_relators_in_another_process():
     proc = subprocess.run([sys.executable, "-c", _CHILD], input=pickle.dumps(p),
                           capture_output=True, env=env, timeout=10)
     assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (0, text, b"")
+
+
+def test_a_streamed_family_holds_only_its_fields():
+    p = homotopy_quotient(surface_braid_presentation(4, 1), 2)
+    fam = p.families[-1]
+    assert fam.kind == "HN" and p.labeled_relators()
+    assert list(vars(fam)) == ["kind", "n", "g", "strand", "bound"]
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_conjugators_build_the_image_table_of_their_strand_only(monkeypatch, i):
+    fam = RelatorFamily("HN", 4, 1, 0, 2)
+    tables, real = [], presentations.image_table
+
+    def spy(codes, image):
+        codes = tuple(codes)
+        tables.append(codes)
+        return real(codes, image)
+
+    monkeypatch.setattr(presentations, "image_table", spy)
+    fam.conjugators(i)
+    assert tables == [tuple(code(b) for b in fam.strand_basis(i))]
