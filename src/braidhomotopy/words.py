@@ -18,6 +18,13 @@ letters are validated against an alphabet context ``(n, g)`` attached to
 the word: ``n`` strands and genus ``g``.  Purely abstract words carry no
 context and combine with any other word.
 
+``parse_word`` caches each token's letters in ``_TOKENS`` (``s1^-2`` is
+two letters ``-c``, for c the code of s1).  Under a context, a word of
+few enough tokens, all with small exponents, is looked up in one bulk
+pass and freely reduced by ``_reduce``, the one reduction loop, which
+``Word(letters)`` and ``substitute`` also use; any other word is read
+token by token.
+
 ``Gen`` and ``Word`` are plain ``__slots__`` classes, immutable, equal and
 hashed as the tuple of their fields.  This module is the one layer every
 command imports, so it does not import ``dataclasses`` (which pulls in
@@ -32,6 +39,7 @@ from __future__ import annotations
 import re
 import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain
 from operator import neg
 
 
@@ -179,7 +187,7 @@ _SYMBOL_RE = re.compile(
 
 def _spelling_code(text: str) -> int:
     """Code of a symbol spelled like ``s1``, ``a2.3``, ``t1.3`` or an atom name;
-    parsed on every call (the parser caches whole tokens in ``_TOKENS``)."""
+    parsed on every call (the parser caches each whole token's letters in ``_TOKENS``)."""
     m = _SYMBOL_RE.fullmatch(text)
     if m is None:
         raise AlphabetError(f"not a generator symbol: {text!r}")
@@ -210,13 +218,21 @@ def _merge_context(a, b):
 
 
 def _reduce(codes: Iterable[int]) -> tuple[int, ...]:
-    """Free reduction of an arbitrary letter sequence."""
-    stack: list[int] = []
+    """Free reduction of an arbitrary letter sequence, in one pass.
+
+    ``inv`` holds the inverse of the top letter, and the stack's base is a
+    0 sentinel, which no letter code matches.
+    """
+    stack = [0]
+    inv = 0
     for c in codes:
-        if stack and stack[-1] == -c:
+        if c == inv:
             stack.pop()
+            inv = -stack[-1]
         else:
             stack.append(c)
+            inv = -c
+    del stack[0]
     return tuple(stack)
 
 
@@ -394,7 +410,8 @@ def substitute(w: Word, image: Callable[[Gen], Word]) -> Word:
     """Image of w under the homomorphism gen -> image(gen), freely reduced in one pass;
     ``image`` is called once per distinct symbol, in order of first use."""
     table, context = image_table(w.codes, image)
-    return Word.from_codes(_reduce([c for x in w.codes for c in table[x]]), context)
+    return Word.from_codes(_reduce(chain.from_iterable(map(table.__getitem__, w.codes))),
+                           context)
 
 
 def gen_word(gen: Gen, n: int | None = None, g: int | None = None,
@@ -432,28 +449,31 @@ def enumerate_shortlex(basis: Sequence[Gen], max_len: int,
         layer = next_layer
 
 
-# token -> (signed letter code, letter count, has an exponent); tokens with
-# |exponent| > _TOKEN_CACHE_EXP are never cached, and a full cache starts over.
+# token -> its letters, e.g. ``s1^-2`` -> (-c, -c) for the code c of s1, which
+# parse_word's bulk path reads in one map and the token-by-token path one at a
+# time; tokens with |exponent| > _TOKEN_CACHE_EXP are never cached (a word with
+# one is read token by token), and a full cache starts over.
 # Concurrent parses need no lock: every entry is the token's one decoding, and
 # a race can overshoot the size by at most one entry per thread.
-_TOKENS: dict[str, tuple[int, int, bool]] = {}
+_TOKENS: dict[str, tuple[int, ...]] = {}
 _TOKEN_CACHE_SIZE = 4096
 _TOKEN_CACHE_EXP = 16
 
 
-def _token(token: str) -> tuple[int, int, bool]:
-    """Decode one token of the grammar, caching it if its exponent is small."""
+def _token(token: str) -> tuple[int, int]:
+    """Decode one token into its signed letter code and letter count,
+    caching its letters if its exponent is small."""
     name, caret, exp = token.partition("^")
     if caret and not (exp[1:] if exp[:1] == "-" else exp).isdecimal():
         raise AlphabetError(f"unparseable token {token!r}")
     c = _spelling_code(name)
     k = int(exp) if caret else 1
-    entry = (c if k > 0 else -c, abs(k), bool(caret))
-    if abs(k) <= _TOKEN_CACHE_EXP:
+    c, m = (c if k > 0 else -c), abs(k)
+    if m <= _TOKEN_CACHE_EXP:
         if len(_TOKENS) >= _TOKEN_CACHE_SIZE:
             _TOKENS.clear()
-        _TOKENS[token] = entry
-    return entry
+        _TOKENS[token] = (c,) * m
+    return c, m
 
 
 def parse_word(text: str, n: int | None = None, g: int | None = None) -> Word:
@@ -467,19 +487,46 @@ def parse_word(text: str, n: int | None = None, g: int | None = None) -> Word:
     context, a typed letter raises ContextError even if it cancels; with
     one, the letters left after free reduction are checked against it.
 
-    Each token's letter and count are cached, at most
-    ``_TOKEN_CACHE_SIZE`` tokens with exponents up to ``_TOKEN_CACHE_EXP``,
-    so hostile input cannot grow the cache.  Letters are freely reduced
-    onto a stack as they are read, in one pass.
+    Each token's letters are cached, at most ``_TOKEN_CACHE_SIZE`` tokens
+    with exponents up to ``_TOKEN_CACHE_EXP``, so hostile input cannot grow
+    the cache.  Under a context, a word of at most ``MAX_WORD_LETTERS //
+    _TOKEN_CACHE_EXP`` tokens, all of them cacheable, cannot pass the
+    letter cap: its tokens are looked up in one ``map``, the misses decoded
+    in order, and the letters freely reduced by ``_reduce``.  Any other
+    word (no context, more tokens, or a larger exponent) is read token by
+    token from its first token, so every error is raised where it was.
     """
     context = _context(n, g)
+    tokens = text.split()
+    if context is not None and len(tokens) <= MAX_WORD_LETTERS // _TOKEN_CACHE_EXP:
+        try:
+            runs = list(map(_TOKENS.__getitem__, tokens))
+        except KeyError:
+            runs = list(map(_TOKENS.get, tokens))
+            for i, run in enumerate(runs):
+                if run is None:
+                    c, m = _token(tokens[i])
+                    if m > _TOKEN_CACHE_EXP:
+                        return _parse_tokens(tokens, context)
+                    runs[i] = (c,) * m
+        return _checked(_reduce(chain.from_iterable(runs)), context)
+    return _parse_tokens(tokens, context)
+
+
+def _parse_tokens(tokens: list[str], context) -> Word:
+    """``parse_word`` token by token, checking the letter cap at each token."""
     stack: list[int] = []
     push, pop, cached = stack.append, stack.pop, _TOKENS.get
     total = 0  # letters read, before reduction
     typed = 0  # first typed letter of a word without a context
-    for token in text.split():
-        c, m, caret = cached(token) or _token(token)
-        if caret and total + m > MAX_WORD_LETTERS:
+    for token in tokens:
+        letters = cached(token)
+        if letters is None:
+            c, m = _token(token)
+        else:
+            m = len(letters)
+            c = letters[0] if m else 0
+        if total + m > MAX_WORD_LETTERS and "^" in token:
             raise ResourceLimitError(f"word exceeds {MAX_WORD_LETTERS} letters at {token!r}")
         total += m
         if context is None and not typed and m and _GENS[abs(c)].kind != "x":

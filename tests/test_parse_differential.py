@@ -13,11 +13,17 @@ from braidhomotopy import words
 from braidhomotopy.words import (
     AlphabetError,
     ResourceLimitError,
+    Word,
     _checked,
     _checked_context,
     _reduce,
     _spelling_code,
+    atom,
+    band,
+    loop,
     parse_word,
+    sigma,
+    substitute,
 )
 
 
@@ -128,3 +134,128 @@ def test_token_cache_is_bounded(monkeypatch):
     assert "x^100000" not in words._TOKENS
     assert parse_word("x^16") == parse_word("x^16")
     assert "x^16" in words._TOKENS
+
+
+
+# ---------------------------------------------------------------------------
+# the bulk path: under a context, a word of at most MAX_WORD_LETTERS //
+# _TOKEN_CACHE_EXP tokens, all of them cacheable, is looked up in one pass and
+# reduced in one pass; every other word goes token by token
+
+
+def naive_reduce(codes):
+    """Delete adjacent cancelling pairs until none is left."""
+    codes = list(codes)
+    i = 0
+    while i + 1 < len(codes):
+        if codes[i] == -codes[i + 1]:
+            del codes[i:i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return tuple(codes)
+
+
+def inverse_token(text):
+    name, caret, exp = text.partition("^")
+    if not caret:
+        return f"{name}^-1"
+    return f"{name}^{exp[1:] if exp[:1] == '-' else '-' + exp}"
+
+
+STREAM_ODD = ["s0", "s1^x", "x^99999999", "y^-40", "x^0"]
+
+
+def stream(rnd, top, size):
+    """``size`` tokens over ATOMS and TYPED with exponents in [-top, top] or none,
+    as ``u u^-1 v`` half the time, with an odd token now and then."""
+    def tok():
+        if rnd.random() < 0.002:
+            return rnd.choice(STREAM_ODD)
+        name = rnd.choice(ATOMS + TYPED)
+        return name if rnd.random() < 0.4 else f"{name}^{rnd.randint(-top, top)}"
+
+    if rnd.random() < 0.5:
+        return [tok() for _ in range(size)]
+    u = [tok() for _ in range(size // 3)]
+    return u + [inverse_token(t) for t in reversed(u)] + [tok() for _ in range(size - 2 * len(u))]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.randoms(use_true_random=False), st.sampled_from([16, 17]), st.integers(0, 2000),
+       st.sampled_from([(3, None), (3, 1), (4, 2)]))
+def test_long_token_streams_cold_and_warm(rnd, top, size, context):
+    text = " ".join(stream(rnd, top, size))
+    words._TOKENS.clear()
+    assert_same(text, *context)  # cold: every token is a miss
+    assert_same(text, *context)  # warm: every cacheable token is a hit
+
+
+@pytest.mark.parametrize("cap", [160, 175])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("last", ["x", "s1^16", "x^-16", "s1^-17", "x^0", "s9", "bad^x"])
+def test_token_count_at_the_bulk_bound(monkeypatch, cap, extra, last):
+    monkeypatch.setattr(words, "MAX_WORD_LETTERS", cap)
+    count = cap // words._TOKEN_CACHE_EXP + extra
+    text = " ".join((["s1^16", "x^16"] * count)[:count - 1] + [last])
+    per_token = []
+    real = words._parse_tokens
+
+    def spy(tokens, context):
+        per_token.append(tokens)
+        return real(tokens, context)
+
+    monkeypatch.setattr(words, "_parse_tokens", spy)
+    words._TOKENS.clear()
+    assert_same(text, 3)  # cold
+    assert_same(text, 3)  # warm
+    assert bool(per_token) == (extra > 0 or last == "s1^-17"), text
+
+
+def test_a_miss_filled_between_the_two_lookups(monkeypatch):
+    class Racy(dict):
+        """Every first lookup misses, as if another parse filled the entry just after."""
+
+        def __getitem__(self, token):
+            raise KeyError(token)
+
+    monkeypatch.setattr(words, "_TOKENS", Racy())
+    for _ in range(2):  # the second parse finds every token by .get
+        assert_same("s1 x^2 s2^-1 s1^16", 3)
+
+
+@pytest.mark.parametrize("text", ["", "x^0", "s1 s1^-1", "s1^16 s1^-16", "x^3 x^-2", "s2^-1",
+                                  "a1.1^5 a1.1^-5 s1", "s1^-1 s1 s1^-1", "x y^0 x^-1 t1.2",
+                                  "q q^-1 s1 s1^-1", "x^16 x^-16 x^-16 x^16"])
+@pytest.mark.parametrize("context", [(3, 1), (4, 2)])
+def test_words_that_reduce_to_at_most_one_letter(text, context):
+    words._TOKENS.clear()
+    for _ in range(2):  # cold, then warm
+        codes, _ = assert_same(text, *context)
+        assert len(codes) <= 1 and 0 not in codes
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=60))
+def test_reduce_against_naive_cancellation(codes):
+    assert _reduce(codes) == _reduce(iter(codes)) == naive_reduce(codes)
+
+
+SYMBOLS = [atom("x"), atom("y"), sigma(1), sigma(2), loop(1, 1), band(1, 3)]
+symbol_letters = st.lists(st.tuples(st.sampled_from(SYMBOLS), st.sampled_from([1, -1])),
+                          max_size=8)
+
+
+@settings(deadline=None)
+@given(symbol_letters, st.lists(symbol_letters, min_size=len(SYMBOLS), max_size=len(SYMBOLS)),
+       st.booleans())
+def test_substitute_against_expand_then_reduce(body, bodies, mirror):
+    if mirror:  # the image of y undoes that of x, so images cancel across letters
+        bodies[1] = [(gen, -e) for gen, e in reversed(bodies[0])]
+    table = {gen: Word(b, (3, 1)) for gen, b in zip(SYMBOLS, bodies)}
+    w = Word(body, (3, 1))
+    expanded = []
+    for gen, e in w.letters:
+        codes = table[gen].codes
+        expanded += codes if e > 0 else [-c for c in reversed(codes)]
+    assert substitute(w, table.__getitem__).codes == naive_reduce(expanded)
