@@ -19,11 +19,10 @@ the word: ``n`` strands and genus ``g``.  Purely abstract words carry no
 context and combine with any other word.
 
 ``parse_word`` caches each token's letters in ``_TOKENS`` (``s1^-2`` is
-two letters ``-c``, for c the code of s1).  Under a context, a word of
-few enough tokens, all with small exponents, is looked up in one bulk
-pass and freely reduced by ``_reduce``, the one reduction loop, which
-``Word(letters)`` and ``substitute`` also use; any other word is read
-token by token.
+two letters ``-c``, for c the code of s1).  It looks up a word's tokens
+in one pass (``_runs`` decodes the misses) and freely reduces the letters
+with ``_reduce``, the one reduction loop, which ``Word(letters)`` and
+``substitute`` also use.
 
 ``Gen`` and ``Word`` are plain ``__slots__`` classes, immutable, equal and
 hashed as the tuple of their fields.  This module is the one layer every
@@ -450,9 +449,9 @@ def enumerate_shortlex(basis: Sequence[Gen], max_len: int,
 
 
 # token -> its letters, e.g. ``s1^-2`` -> (-c, -c) for the code c of s1, which
-# parse_word's bulk path reads in one map and the token-by-token path one at a
-# time; tokens with |exponent| > _TOKEN_CACHE_EXP are never cached (a word with
-# one is read token by token), and a full cache starts over.
+# parse_word looks up in one map and _runs one token at a time; tokens with
+# |exponent| > _TOKEN_CACHE_EXP are never cached (_runs decodes them on every
+# parse), and a full cache starts over.
 # Concurrent parses need no lock: every entry is the token's one decoding, and
 # a race can overshoot the size by at most one entry per thread.
 _TOKENS: dict[str, tuple[int, ...]] = {}
@@ -489,63 +488,44 @@ def parse_word(text: str, n: int | None = None, g: int | None = None) -> Word:
 
     Each token's letters are cached, at most ``_TOKEN_CACHE_SIZE`` tokens
     with exponents up to ``_TOKEN_CACHE_EXP``, so hostile input cannot grow
-    the cache.  Under a context, a word of at most ``MAX_WORD_LETTERS //
-    _TOKEN_CACHE_EXP`` tokens, all of them cacheable, cannot pass the
-    letter cap: its tokens are looked up in one ``map``, the misses decoded
-    in order, and the letters freely reduced by ``_reduce``.  Any other
-    word (no context, more tokens, or a larger exponent) is read token by
-    token from its first token, so every error is raised where it was.
+    the cache.  A word of at most ``MAX_WORD_LETTERS // _TOKEN_CACHE_EXP``
+    tokens, all of them cached, cannot pass the letter cap, so its tokens
+    are looked up in one ``map``; any other word is read by ``_runs``.
+    Either way ``_reduce`` freely reduces the letters.
     """
     context = _context(n, g)
     tokens = text.split()
-    if context is not None and len(tokens) <= MAX_WORD_LETTERS // _TOKEN_CACHE_EXP:
+    if len(tokens) <= MAX_WORD_LETTERS // _TOKEN_CACHE_EXP:
         try:
             runs = list(map(_TOKENS.__getitem__, tokens))
         except KeyError:
-            runs = list(map(_TOKENS.get, tokens))
-            for i, run in enumerate(runs):
-                if run is None:
-                    c, m = _token(tokens[i])
-                    if m > _TOKEN_CACHE_EXP:
-                        return _parse_tokens(tokens, context)
-                    runs[i] = (c,) * m
-        return _checked(_reduce(chain.from_iterable(runs)), context)
-    return _parse_tokens(tokens, context)
+            runs = _runs(tokens)
+    else:
+        runs = _runs(tokens)
+    if context is None:  # each run repeats one letter
+        _checked_context([run[0] for run in runs if run], None)
+    return _checked(_reduce(chain.from_iterable(runs)), context)
 
 
-def _parse_tokens(tokens: list[str], context) -> Word:
-    """``parse_word`` token by token, checking the letter cap at each token."""
-    stack: list[int] = []
-    push, pop, cached = stack.append, stack.pop, _TOKENS.get
+def _runs(tokens: list[str]) -> list[tuple[int, ...]]:
+    """The letters of each token, decoding the misses in order and checking
+    the letter cap at each ``^`` token before its letters are built."""
+    runs = []
+    cached = _TOKENS.get
     total = 0  # letters read, before reduction
-    typed = 0  # first typed letter of a word without a context
     for token in tokens:
         letters = cached(token)
         if letters is None:
             c, m = _token(token)
         else:
             m = len(letters)
-            c = letters[0] if m else 0
-        if total + m > MAX_WORD_LETTERS and "^" in token:
-            raise ResourceLimitError(f"word exceeds {MAX_WORD_LETTERS} letters at {token!r}")
         total += m
-        if context is None and not typed and m and _GENS[abs(c)].kind != "x":
-            typed = abs(c)
-        if m == 1:
-            if stack and stack[-1] == -c:
-                pop()
-            else:
-                push(c)
-        elif m:
-            while m and stack and stack[-1] == -c:
-                pop()
-                m -= 1
-            stack.extend([c] * m)
+        if total > MAX_WORD_LETTERS and "^" in token:
+            raise ResourceLimitError(f"word exceeds {MAX_WORD_LETTERS} letters at {token!r}")
+        runs.append((c,) * m if letters is None else letters)
     if total > MAX_WORD_LETTERS:
         raise ResourceLimitError(f"word exceeds {MAX_WORD_LETTERS} letters")
-    if typed:
-        raise ContextError(f"typed letter {_GENS[typed]} requires an (n, g) context")
-    return _checked(tuple(stack), context)
+    return runs
 
 
 def format_word(w: Word) -> str:

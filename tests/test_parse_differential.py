@@ -78,6 +78,7 @@ def test_odd_tokens(text, n, g):
 
 @pytest.mark.parametrize("text, n, g", [
     ("s1 s1^-1", None, None),          # a typed letter without context, cancelled
+    ("x s1 s1^-1 x^-1", None, None),   # the same, after an atom
     ("x s2^3 x^-1 s1", None, None),    # the first typed letter is reported
     ("x y y^-1 x^-1", None, None),
     ("x^3 x^-3", None, None),
@@ -138,9 +139,9 @@ def test_token_cache_is_bounded(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the bulk path: under a context, a word of at most MAX_WORD_LETTERS //
-# _TOKEN_CACHE_EXP tokens, all of them cacheable, is looked up in one pass and
-# reduced in one pass; every other word goes token by token
+# one path: a word of at most MAX_WORD_LETTERS // _TOKEN_CACHE_EXP tokens, all
+# of them cached, is looked up in one map; every other word is read by _runs;
+# then the letters are reduced in one pass
 
 
 def naive_reduce(codes):
@@ -163,16 +164,17 @@ def inverse_token(text):
     return f"{name}^{exp[1:] if exp[:1] == '-' else '-' + exp}"
 
 
-STREAM_ODD = ["s0", "s1^x", "x^99999999", "y^-40", "x^0"]
+ATOM_ODD = ["x^99999999", "y^-40", "x^0"]
+STREAM_ODD = ["s0", "s1^x"] + ATOM_ODD
 
 
-def stream(rnd, top, size):
-    """``size`` tokens over ATOMS and TYPED with exponents in [-top, top] or none,
-    as ``u u^-1 v`` half the time, with an odd token now and then."""
+def stream(rnd, top, size, names=ATOMS + TYPED, odd=STREAM_ODD):
+    """``size`` tokens over ``names`` with exponents in [-top, top] or none,
+    as ``u u^-1 v`` half the time, with an ``odd`` token now and then."""
     def tok():
         if rnd.random() < 0.002:
-            return rnd.choice(STREAM_ODD)
-        name = rnd.choice(ATOMS + TYPED)
+            return rnd.choice(odd)
+        name = rnd.choice(names)
         return name if rnd.random() < 0.4 else f"{name}^{rnd.randint(-top, top)}"
 
     if rnd.random() < 0.5:
@@ -183,9 +185,10 @@ def stream(rnd, top, size):
 
 @settings(deadline=None, max_examples=60)
 @given(st.randoms(use_true_random=False), st.sampled_from([16, 17]), st.integers(0, 2000),
-       st.sampled_from([(3, None), (3, 1), (4, 2)]))
+       st.sampled_from([(None, None), (3, None), (3, 1), (4, 2)]))
 def test_long_token_streams_cold_and_warm(rnd, top, size, context):
-    text = " ".join(stream(rnd, top, size))
+    # without a context, atoms only, so the words reach _reduce
+    text = " ".join(stream(rnd, top, size, *((ATOMS, ATOM_ODD) if context[0] is None else ())))
     words._TOKENS.clear()
     assert_same(text, *context)  # cold: every token is a miss
     assert_same(text, *context)  # warm: every cacheable token is a hit
@@ -197,19 +200,22 @@ def test_long_token_streams_cold_and_warm(rnd, top, size, context):
 def test_token_count_at_the_bulk_bound(monkeypatch, cap, extra, last):
     monkeypatch.setattr(words, "MAX_WORD_LETTERS", cap)
     count = cap // words._TOKEN_CACHE_EXP + extra
-    text = " ".join((["s1^16", "x^16"] * count)[:count - 1] + [last])
-    per_token = []
-    real = words._parse_tokens
+    read = []
+    real = words._runs
 
-    def spy(tokens, context):
-        per_token.append(tokens)
-        return real(tokens, context)
+    def spy(tokens):
+        read.append(tokens)
+        return real(tokens)
 
-    monkeypatch.setattr(words, "_parse_tokens", spy)
-    words._TOKENS.clear()
-    assert_same(text, 3)  # cold
-    assert_same(text, 3)  # warm
-    assert bool(per_token) == (extra > 0 or last == "s1^-17"), text
+    monkeypatch.setattr(words, "_runs", spy)
+    # under n = 3, and without a context over atoms
+    for body, context in (["s1^16", "x^16"], (3,)), (["x^16", "y^-16"], ()):
+        text = " ".join((body * count)[:count - 1] + [last])
+        words._TOKENS.clear()
+        assert_same(text, *context)  # cold
+        read.clear()
+        assert_same(text, *context)  # warm
+        assert bool(read) == (extra > 0 or last in ("s1^-17", "bad^x")), text
 
 
 def test_a_miss_filled_between_the_two_lookups(monkeypatch):
