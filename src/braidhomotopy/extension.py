@@ -381,7 +381,8 @@ DEFAULT_MAX_COSETS = 100_000
 # _COSET_BYTES plus _COLUMN_BYTES per column (343-4,391 B measured at 2-202
 # columns): its row and label, and its share of the numbered rows that the
 # first read of CosetTable.rows builds beside them; a caller that reads only
-# the count never builds those
+# the count never builds those.  A coset's row is freed when it dies, so the
+# estimate is an upper bound
 MAX_TABLE_BYTES = 256 << 20
 _COSET_BYTES, _COLUMN_BYTES = 320, 24
 
@@ -395,6 +396,9 @@ def todd_coxeter(p: Presentation, subgroup: Sequence[Word],
     fills its row.  A trace runs forward over the word and backward over
     its inverse until each meets an undefined entry; cosets are defined
     only inside the gap between the two, whose last letter is deduced.
+    Each relator is first traced inline, one lookup per letter: a trace
+    that gets back to its coset needs no scan, and any other scan resumes
+    where the trace stopped.
     Scans that meet unify their ends.  A closed table's coset count is
     the index and its rows are the live cosets in order of definition.
     The count is the enumeration's live count; the rows are numbered on
@@ -509,9 +513,12 @@ def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],
     fit = MAX_TABLE_BYTES // (_COSET_BYTES + _COLUMN_BYTES * ncols)
     most = min(max_cosets, fit)
     # union-find over cosets (labels[c] == c iff c is live, else an older
-    # coset) and one row per coset, whose entries may name dead cosets
+    # coset) and one row per coset; a live row's entries may name dead
+    # cosets, and every dead coset's row is the one all-_UNDEF row ``dead``,
+    # which nothing writes to, so a trace that enters a dead coset stops
     labels = [0]
     table = [[_UNDEF] * ncols]
+    dead = [_UNDEF] * ncols
     merged = 0  # cosets unify has killed: the live count is len(labels) - merged
 
     def rep(c: int) -> int:
@@ -532,10 +539,10 @@ def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],
                 a, b = b, a
             labels[b] = a
             merged += 1
-            row_a = table[a]
+            row_a, row_b, table[b] = table[a], table[b], dead
             # entries are defined in inverse pairs, so nb's row already
             # leads back into b's class, which is now a's
-            for col, nb in enumerate(table[b]):
+            for col, nb in enumerate(row_b):
                 if nb == _UNDEF:
                     continue
                 if row_a[col] == _UNDEF:
@@ -556,8 +563,12 @@ def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],
         table[f][col], table[d][col ^ 1] = d, f
         return d
 
-    def scan_and_fill(c: int, word: list[int]) -> None:
-        f, i, b, j = c, 0, c, len(word) - 1
+    def scan_and_fill(c: int, word: list[int], f: int, i: int) -> None:
+        # the forward scan resumes at coset f, letter i of a trace from c,
+        # or restarts from c if f has died
+        if labels[f] != f:
+            f, i = c, 0
+        b, j = c, len(word) - 1
         while i <= j and (x := table[f][word[i]]) != _UNDEF:
             if labels[x] != x:
                 x = table[f][word[i]] = rep(x)
@@ -582,12 +593,23 @@ def _enumerate(gens: tuple[Gen, ...], relators: list[list[int]],
     status = "closed"
     try:
         for word in subgroup_cols:
-            scan_and_fill(0, word)
+            scan_and_fill(0, word, 0, 0)
         c = 0
         while c < len(labels):
             if labels[c] == c:
                 for rel in relators:
-                    scan_and_fill(c, rel)
+                    # trace rel from c; a trace that gets back to c leaves
+                    # the scan nothing to do
+                    f, i = c, 0
+                    for col in rel:
+                        x = table[f][col]
+                        if x < 0:
+                            break
+                        f, i = x, i + 1
+                    else:
+                        if f == c:
+                            continue
+                    scan_and_fill(c, rel, f, i)
                     if labels[c] != c:
                         break
                 else:
